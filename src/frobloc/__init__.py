@@ -19,6 +19,7 @@ from .monomials import (
     lcm,
     minimalize,
     mono_mul,
+    substitute,
 )
 from .symbolic import (
     ColonDecomposition,
@@ -43,7 +44,6 @@ from .locus import (
     enumerate_strata,
     is_open,
     render_expression,
-    substitute,
 )
 from .oracle import GenerationProfile, classify_up_to, compute_f, compute_l
 

@@ -25,8 +25,9 @@ import os
 import numpy as np
 
 _ENV_FLAG = "FROBLOC_BACKEND"
-# cap on elements touched per broadcast block in the numpy paths
-_BLOCK_ELEMS = 1 << 24
+# cap on elements touched per broadcast block in the numpy paths: one
+# block's boolean comparison temporary stays near 256 KiB
+_BLOCK_ELEMS = 1 << 18
 
 
 def _np_minimal_mask(rows: np.ndarray) -> np.ndarray:

@@ -73,12 +73,15 @@ def run(sizes: list[int], repeats: int, seed: int) -> None:
 
     ideal = _random_squarefree(rng, 6, 5)
     print(f"\nend-to-end generation profile, I = {ideal.render()}, p=2, max_e=3")
-    for backend in backends:
-        _kernels.set_backend(backend)
-        classify_up_to(ideal, 2, 3)  # warmup
-        best = _time(lambda: classify_up_to(ideal, 2, 3), repeats)
-        print(f"{backend:>8}: {best:.4f}s")
-    _kernels.set_backend(_kernels.ACTIVE_BACKEND)
+    original = _kernels.ACTIVE_BACKEND
+    try:
+        for backend in backends:
+            _kernels.set_backend(backend)
+            classify_up_to(ideal, 2, 3)  # warmup
+            best = _time(lambda: classify_up_to(ideal, 2, 3), repeats)
+            print(f"{backend:>8}: {best:.4f}s")
+    finally:
+        _kernels.set_backend(original)
 
 
 def main(argv=None) -> int:

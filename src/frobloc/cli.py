@@ -16,17 +16,20 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateIdeal, ResourceLimit, SquareFreeViolation
+from .errors import DegenerateIdeal, FroblocError, ResourceLimit
 from .locus import (
     LocusReport,
     build_locus,
-    classify_stratum,
-    enumerate_strata,
     render_u_prime,
-    substitute,
     u_prime_strata,
 )
-from .monomials import MonomialIdeal, PrimePower, format_monomial, is_prime
+from .monomials import (
+    MonomialIdeal,
+    PrimePower,
+    format_monomial,
+    generator_budget,
+    is_prime,
+)
 from .oracle import classify_up_to
 from .symbolic import (
     ColonDecomposition,
@@ -301,9 +304,7 @@ def _cmd_locus(args) -> int:
     _emit(args, payload, _locus_text(report))
     if args.check:
         for v in report.verdicts:
-            profile = classify_up_to(
-                substitute(ideal, v.stratum.inverted), args.p, args.max_e
-            )
+            profile = classify_up_to(v.localized.base, args.p, args.max_e)
             principal = v.generation is GenerationClass.PRINCIPAL
             if principal != profile.finitely_generated_consistent:
                 print(
@@ -361,16 +362,14 @@ def _cmd_enumerate(args) -> int:
     checked = disagreements = 0
     for ideal, orbit in reps:
         report = build_locus(ideal, args.p, strict=args.strict)
-        d = decompose(ideal, args.p)
+        d = report.decomposition
         counts[d.generation_class.value] += 1
         openness_counts[report.openness.value] += 1
         total_orbit += orbit
         if args.check:
-            for s in enumerate_strata(ideal, restrict_to_v_of_i=True):
-                verdict = classify_stratum(ideal, args.p, s, strict=False)
-                profile = classify_up_to(
-                    substitute(ideal, s.inverted), args.p, args.max_e
-                )
+            # the principal verdict does not depend on --strict
+            for verdict in report.verdicts:
+                profile = classify_up_to(verdict.localized.base, args.p, args.max_e)
                 checked += 1
                 principal = verdict.generation is GenerationClass.PRINCIPAL
                 if principal != profile.finitely_generated_consistent:
@@ -512,6 +511,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        generator_budget()  # reject a malformed FROBLOC_MAX_GENS up front
         if getattr(args, "p", None) is not None:
             _require_prime(args.p)
         if getattr(args, "e", None) is not None and args.e < 1:
@@ -522,12 +522,12 @@ def main(argv: "list[str] | None" = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (SquareFreeViolation, DegenerateIdeal, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ResourceLimit as exc:
+    except (ResourceLimit, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (FroblocError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

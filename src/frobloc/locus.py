@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import InadmissibleStratum
 from .monomials import MonomialIdeal, PrimePower, format_monomial
+from .monomials import substitute  # noqa: F401  (re-exported: locus.substitute)
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
@@ -82,18 +83,6 @@ class StratumVerdict:
     localized: ColonDecomposition
 
 
-def substitute(ideal: MonomialIdeal, inverted: Iterable[int]) -> MonomialIdeal:
-    """Set the variables in W to 1 (zero their exponents) and re-minimalize."""
-    w = sorted(set(inverted))
-    if not all(1 <= i <= ideal.n for i in w):
-        raise ValueError(f"variable indexes out of range 1..{ideal.n}")
-    if not w or ideal.is_zero():
-        return ideal
-    gens = ideal.gens.copy()
-    gens[:, [i - 1 for i in w]] = 0
-    return MonomialIdeal.from_matrix(gens, ideal.n)
-
-
 def is_admissible(ideal: MonomialIdeal, stratum: Stratum) -> bool:
     """Does the stratum meet V(I), i.e. does every generator hit Z."""
     if ideal.is_zero():
@@ -127,7 +116,7 @@ def enumerate_strata(
 def classify_stratum(
     ideal: MonomialIdeal, p: int, stratum: Stratum, strict: bool = False
 ) -> StratumVerdict:
-    """Classify the algebra on one stratum via the substituted ideal.
+    """Classify the algebra on one stratum via the localized decomposition.
 
     The localized decomposition decides everything: empty J means principal
     (DirectTheorem).  A surviving J generator showing exponents 0, p-1 and p
@@ -141,12 +130,19 @@ def classify_stratum(
         raise ValueError("stratum and ideal live in different ambients")
     if not is_admissible(ideal, stratum):
         raise InadmissibleStratum(f"{stratum.render()} does not meet V(I)")
-    sub = substitute(ideal, stratum.inverted)
-    local = decompose(sub, p)
+    return _classify(decompose(ideal, p), stratum, strict)
+
+
+def _classify(
+    global_d: ColonDecomposition, stratum: Stratum, strict: bool
+) -> StratumVerdict:
+    """classify_stratum on an admissible stratum, given the global
+    decomposition of the ideal."""
+    local = global_d.localize(stratum.inverted)
     if local.j_part.is_zero():
         return StratumVerdict(stratum, GenerationClass.PRINCIPAL, Certificate.DIRECT, local)
 
-    if _complement_pattern_witness(ideal, p, stratum, sub) is not None:
+    if _complement_pattern_witness(global_d, stratum, local.base) is not None:
         return StratumVerdict(
             stratum, GenerationClass.INFINITE, Certificate.COMPLEMENT, local
         )
@@ -158,20 +154,20 @@ def classify_stratum(
 
 
 def _complement_pattern_witness(
-    ideal: MonomialIdeal, p: int, stratum: Stratum, sub: MonomialIdeal
+    global_d: ColonDecomposition, stratum: Stratum, sub: MonomialIdeal
 ) -> "tuple | None":
     """An original J generator whose image on this stratum still carries
     exponents 0, p-1 and p among the variables of Z and stays outside the
     localized I^[p] + ((x^beta)^(p-1)) - the hypothesis under which infinite
     generation is certified on the whole stratum."""
-    global_d = decompose(ideal, p)
+    p = global_d.p
     inverted = stratum.inverted
     z_positions = [i - 1 for i in sorted(stratum.in_prime)]
     beta_local = [
         b if (k + 1) not in inverted else 0 for k, b in enumerate(global_d.beta)
     ]
     localized_sum = sub.frobenius_power(PrimePower(p, 1)) + MonomialIdeal(
-        [[b * (p - 1) for b in beta_local]], ideal.n
+        [[b * (p - 1) for b in beta_local]], sub.n
     )
     for term in global_d.j_part.terms():
         image = tuple(
@@ -286,6 +282,7 @@ class LocusReport:
     expression_u: str
     expression_complement: str
     notes: tuple[str, ...]
+    decomposition: ColonDecomposition  # of the ideal itself, shared by all strata
 
 
 # Published locus displays known to disagree with the derived stratum table.
@@ -310,9 +307,9 @@ def build_locus(
     """
     if ambient not in ("vi", "full"):
         raise ValueError(f"ambient must be 'vi' or 'full', got {ambient!r}")
-    validate_square_free(ideal)
+    global_d = decompose(ideal, p)
     admissible = enumerate_strata(ideal, restrict_to_v_of_i=True)
-    verdicts = tuple(classify_stratum(ideal, p, s, strict=strict) for s in admissible)
+    verdicts = tuple(_classify(global_d, s, strict) for s in admissible)
 
     u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
     comp = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.INFINITE)
@@ -359,6 +356,7 @@ def build_locus(
         expression_u=expression_u,
         expression_complement=expression_complement,
         notes=tuple(notes),
+        decomposition=global_d,
     )
 
 

@@ -29,12 +29,21 @@ _DEFAULT_GEN_BUDGET = 100_000
 
 
 def generator_budget() -> int:
-    """Cap on intermediate generator counts (env FROBLOC_MAX_GENS)."""
+    """Cap on intermediate generator counts (env FROBLOC_MAX_GENS).
+
+    Unset or empty means the default; anything but a positive integer is
+    rejected with ValueError rather than silently replaced.
+    """
     raw = os.environ.get("FROBLOC_MAX_GENS", "")
-    try:
-        return int(raw) if raw else _DEFAULT_GEN_BUDGET
-    except ValueError:
+    if not raw:
         return _DEFAULT_GEN_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"FROBLOC_MAX_GENS={raw!r} is not a positive integer")
+    return budget
 
 
 def _check_budget(count: int) -> None:
@@ -45,14 +54,41 @@ def _check_budget(count: int) -> None:
         )
 
 
+# Miller-Rabin with the prime bases up to 37 is exact below this bound
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < 3.3e24.
+
+    Larger p raise ValueError: the fixed base set no longer proves
+    primality there.
+    """
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"p={p} is too large for an exact primality test (limit "
+            f"{_MR_EXACT_BELOW})"
+        )
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for base in _MR_BASES:
+        if p % base == 0:
+            return p == base
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _MR_BASES:
+        x = pow(base, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -322,6 +358,18 @@ def _minimal_rows(matrix: np.ndarray) -> np.ndarray:
     unique = np.unique(matrix, axis=0)
     keep = _kernels.minimal_mask(unique)
     return np.ascontiguousarray(unique[keep])
+
+
+def substitute(ideal: MonomialIdeal, inverted: Iterable[int]) -> MonomialIdeal:
+    """Set the variables in W to 1 (zero their exponents) and re-minimalize."""
+    w = sorted(set(inverted))
+    if not all(1 <= i <= ideal.n for i in w):
+        raise ValueError(f"variable indexes out of range 1..{ideal.n}")
+    if not w or ideal.is_zero():
+        return ideal
+    gens = ideal.gens.copy()
+    gens[:, [i - 1 for i in w]] = 0
+    return MonomialIdeal.from_matrix(gens, ideal.n)
 
 
 def minimalize(gens: Iterable[Exponents], n: "int | None" = None) -> MonomialIdeal:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateIdeal, FroblocError, SquareFreeViolation
-from .monomials import MonomialIdeal, PrimePower, is_prime
+from .monomials import MonomialIdeal, PrimePower, is_prime, substitute
 
 
 class SymExp(NamedTuple):
@@ -266,13 +266,33 @@ class DecompositionParts(NamedTuple):
 
 @dataclass(frozen=True)
 class ColonDecomposition:
-    """(I^[q]:I) split into Frobenius image, residual J and socle generator."""
+    """(I^[q]:I) split into Frobenius image, residual J and socle generator.
+
+    ``colon`` is the whole symbolic colon the three parts were cut from.
+    """
 
     base: MonomialIdeal
     p: int
     frobenius_part: SymbolicIdeal
     j_part: SymbolicIdeal
     beta: tuple[int, ...]
+    colon: SymbolicIdeal
+
+    def localize(self, inverted: Iterable[int]) -> "ColonDecomposition":
+        """The decomposition of substitute(base, W), W = ``inverted``.
+
+        Localization commutes with the colon: setting the W variables to 1
+        in (I^[q]:I) and re-minimalizing gives (phi_W(I)^[q] : phi_W(I)),
+        so no colon is recomputed.  W must leave the base a proper ideal.
+        """
+        w = sorted(set(inverted))
+        sub = substitute(self.base, w)
+        n = self.base.n
+        cols = [i - 1 for i in w]
+        enc = self.colon.enc.copy()
+        enc[:, cols] = 0
+        enc[:, [n + c for c in cols]] = 0
+        return _partition(sub, self.p, SymbolicIdeal.from_encoded(enc, n))
 
     @property
     def socle_exponents(self) -> tuple[SymExp, ...]:
@@ -312,10 +332,15 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
     of the rest, those divisible by (x^beta)^(q-1) belong to the socle part;
     whatever remains is J.  Divisibility is the uniform (all q >= 2) one.
     """
+    return _partition(ideal, p, colon_symbolic(ideal, p))
+
+
+def _partition(
+    ideal: MonomialIdeal, p: int, sym: SymbolicIdeal
+) -> ColonDecomposition:
+    """Split the symbolic colon ``sym`` of ``ideal`` into the three groups."""
     validate_square_free(ideal)
-    _validate_p(p)
     n = ideal.n
-    sym = colon_symbolic(ideal, p)
     beta = compute_beta(ideal)
 
     frob_enc = np.hstack([ideal.gens, 2 * ideal.gens])
@@ -335,7 +360,7 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
         if (1, 0) not in pairs or (1, -1) not in pairs:
             raise FroblocError(f"residual generator without q/q-1 pattern: {term}")
 
-    return ColonDecomposition(ideal, p, frob_part, j_part, beta)
+    return ColonDecomposition(ideal, p, frob_part, j_part, beta, sym)
 
 
 def _encoded_divides_any(gens_enc: np.ndarray, queries_enc: np.ndarray) -> np.ndarray:

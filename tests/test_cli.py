@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from frobloc import cli
 from frobloc.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -12,6 +13,7 @@ from frobloc.cli import (
     main,
     parse_ideal,
 )
+from frobloc.errors import AmbientMismatch, InadmissibleStratum
 
 
 class TestParseIdeal:
@@ -198,3 +200,38 @@ class TestExitCodes:
         monkeypatch.setenv("FROBLOC_MAX_GENS", "2")
         code = main(["oracle", "x1*x2, x2*x3, x3*x4", "--p", "3", "--max-e", "3"])
         assert code == EXIT_RESOURCE
+
+    def test_overflowing_frobenius_power_is_a_resource_limit(self, capsys):
+        code = main(["colon", "x1*x2, x2*x3", "--p", "2", "--e", "70"])
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command,target,exc",
+        [
+            ("classify", "decompose", AmbientMismatch("ideals in 2 and 3 variables")),
+            ("locus", "build_locus", InadmissibleStratum("Z={1} does not meet V(I)")),
+        ],
+    )
+    def test_package_errors_are_invalid_input(
+        self, capsys, monkeypatch, command, target, exc
+    ):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, target, fail)
+        assert main([command, "x1*x2", "--p", "2"]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_malformed_budget_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("FROBLOC_MAX_GENS", "abc")
+        assert main(["classify", "x1*x2", "--p", "2"]) == EXIT_INVALID
+        assert "FROBLOC_MAX_GENS" in capsys.readouterr().err
+
+    def test_large_prime_is_fast(self, capsys):
+        assert main(["classify", "x1*x2", "--p", "1000000000000000003"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("PrincipallyGenerated")
+
+    def test_prime_beyond_exact_range(self, capsys):
+        assert main(["classify", "x1*x2", "--p", str(10**30)]) == EXIT_INVALID
+        assert "too large" in capsys.readouterr().err

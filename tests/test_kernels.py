@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -75,7 +76,12 @@ def test_env_flag_selects_numpy_backend():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"FROBLOC_BACKEND": "numpy", "PATH": "/usr/bin:/bin"},
+        env={
+            "FROBLOC_BACKEND": "numpy",
+            "PATH": "/usr/bin:/bin",
+            # the child must import the same uninstalled frobloc as the parent
+            "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
+        },
         capture_output=True,
         text=True,
     )

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _brute
 from frobloc.enumeration import canonical_squarefree_ideals
@@ -321,3 +323,67 @@ def test_oracle_agreement_extended():
                 profile = classify_up_to(substitute(ideal, s.inverted), 3, 3)
                 principal = v.generation is GenerationClass.PRINCIPAL
                 assert principal == profile.finitely_generated_consistent
+
+
+# ---------------------------------------------------------------------------
+# localizing the global colon against the definitional per-stratum colon
+
+
+def _parts(d):
+    return d.frobenius_part, d.j_part, d.beta
+
+
+def test_localize_matches_definitional_on_every_enumerated_stratum():
+    reference = {}  # many strata share one substituted ideal
+    for p, max_n in ((2, 5), (3, 4), (5, 4)):
+        for n in range(1, max_n + 1):
+            for ideal, _ in canonical_squarefree_ideals(n):
+                global_d = decompose(ideal, p)
+                for s in enumerate_strata(ideal, True):
+                    sub = substitute(ideal, s.inverted)
+                    if (sub, p) not in reference:
+                        reference[sub, p] = decompose(sub, p)
+                    fast = global_d.localize(s.inverted)
+                    assert _parts(fast) == _parts(reference[sub, p]), (ideal, s)
+
+
+def _edge_ideal(kind, n):
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if kind == "cycle":
+        edges.append((n - 1, 0))
+    return MonomialIdeal([tuple(int(k in e) for k in range(n)) for e in edges], n)
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_build_locus_matches_definitional_on_paths_and_cycles(kind):
+    for n in range(3, 9):
+        ideal = _edge_ideal(kind, n)
+        report = build_locus(ideal, 2)
+        assert report.decomposition == decompose(ideal, 2)
+        assert [v.stratum for v in report.verdicts] == enumerate_strata(ideal, True)
+        for v in report.verdicts:
+            local = decompose(substitute(ideal, v.stratum.inverted), 2)
+            assert v.localized == local
+            principal = v.generation is GenerationClass.PRINCIPAL
+            assert principal == local.j_part.is_zero()
+
+
+@st.composite
+def ideal_and_stratum(draw):
+    n = draw(st.integers(1, 7))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
+    z = draw(st.integers(0, (1 << n) - 1))
+    for g in ideal.generators():  # grow Z until the stratum meets V(I)
+        if not any(g[i] and z >> i & 1 for i in range(n)):
+            z |= 1 << g.index(1)
+    return ideal, Stratum(n, frozenset(i + 1 for i in range(n) if z >> i & 1))
+
+
+@given(ideal_and_stratum(), st.sampled_from([2, 3, 5]))
+@settings(max_examples=80, deadline=None)
+def test_localize_matches_definitional_random(case, p):
+    ideal, stratum = case
+    fast = decompose(ideal, p).localize(stratum.inverted)
+    reference = decompose(substitute(ideal, stratum.inverted), p)
+    assert _parts(fast) == _parts(reference)

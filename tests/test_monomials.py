@@ -8,6 +8,7 @@ from frobloc.monomials import (
     MonomialIdeal,
     PrimePower,
     divides,
+    generator_budget,
     is_prime,
     lcm,
     minimalize,
@@ -53,6 +54,32 @@ class TestPrimePower:
 
     def test_is_prime(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+        assert [p for p in range(5000) if is_prime(p)] == [
+            p for p in range(5000) if trial(p)
+        ]
+
+    @pytest.mark.parametrize(
+        "p,prime",
+        [
+            (561, False),  # Carmichael
+            (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+            (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+            (2**61 - 1, True),
+            (1000000000000000003, True),
+            ((2**61 - 1) * (2**19 - 1), False),
+        ],
+    )
+    def test_is_prime_large(self, p, prime):
+        assert is_prime(p) is prime
+
+    def test_is_prime_rejects_beyond_exact_range(self):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(3317044064679887385961981)
 
 
 class TestMinimalize:
@@ -180,6 +207,13 @@ def test_resource_limit(monkeypatch, chain3):
     big = MonomialIdeal([(3, 0, 0), (0, 3, 0), (0, 0, 3)])
     with pytest.raises(ResourceLimit):
         big * big
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+def test_malformed_budget_rejected(monkeypatch, raw):
+    monkeypatch.setenv("FROBLOC_MAX_GENS", raw)
+    with pytest.raises(ValueError, match="FROBLOC_MAX_GENS"):
+        generator_budget()
 
 
 # ---------------------------------------------------------------------------
