@@ -11,6 +11,7 @@ under --check, 5 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -434,6 +435,7 @@ def _cmd_enumerate(args) -> int:
 # argument plumbing
 
 
+@functools.cache  # one parser per process: main() may run many times
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frobloc",

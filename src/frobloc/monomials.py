@@ -113,21 +113,22 @@ class PrimePower:
     def from_q(cls, q: int) -> "PrimePower":
         if q < 2:
             raise ValueError(f"q={q} is not a prime power >= 2")
-        p = 2
-        while p * p <= q:
-            if q % p == 0:
-                break
-            p += 1
-        else:
-            p = q
-        e = 0
-        rest = q
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if rest != 1:
-            raise ValueError(f"q={q} is not a prime power")
-        return cls(p, e)
+        # largest e first, so a huge q = p^e never reaches is_prime(q)
+        for e in range(q.bit_length() - 1, 0, -1):
+            root = _integer_root(q, e)
+            if root**e == q and is_prime(root):
+                return cls(root, e)
+        raise ValueError(f"q={q} is not a prime power")
+
+
+def _integer_root(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def _coerce_power(q: "int | PrimePower") -> PrimePower:

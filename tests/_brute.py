@@ -18,14 +18,15 @@ def contains(gens, mono):
 
 
 def minimalize(gens):
-    """Pairwise-divisibility antichain reduction, sorted for comparison."""
-    gens = sorted(set(map(tuple, gens)))
+    """Antichain reduction, sorted for comparison.
+
+    A proper divisor has a smaller total degree, and divisibility is
+    transitive, so scanning by degree and testing each monomial against
+    the minimal ones kept so far finds every dominated generator.
+    """
     keep = []
-    for i, g in enumerate(gens):
-        dominated = any(
-            j != i and divides(h, g) for j, h in enumerate(gens)
-        )
-        if not dominated:
+    for g in sorted(set(map(tuple, gens)), key=sum):
+        if not contains(keep, g):
             keep.append(g)
     return sorted(keep)
 
@@ -59,3 +60,31 @@ def colon(j_gens, i_gens, n):
 def upward_closure(family, universe):
     """Explicit closure of a stratum family under Z-inclusion."""
     return {z for z in universe if any(set(m) <= set(z) for m in family)}
+
+
+def compositions(e):
+    """Ordered tuples of at least two parts summing to e (empty for e = 1)."""
+    if e == 1:
+        return []
+    out = []
+    for first in range(1, e):
+        rest = e - first
+        out.append((first, rest))
+        out.extend((first,) + tail for tail in compositions(rest))
+    return out
+
+
+def compositions_l(f_gens, p, e):
+    """L_e by definition: the sum over every ordered composition e = e_1 + ...
+    + e_s (s >= 2) of F_{e_1} * F_{e_2}^[p^{e_1}] * ... * F_{e_s}^[p^{e_1 +
+    ... + e_{s-1}}], with F_k given as generator lists in ``f_gens[k]``."""
+    total = []
+    for composition in compositions(e):
+        shift = 0
+        term = [(0,) * len(f_gens[1][0])]
+        for part in composition:
+            factor = [tuple(p**shift * x for x in g) for g in f_gens[part]]
+            term = minimalize(mono_mul(a, b) for a in term for b in factor)
+            shift += part
+        total.extend(term)
+    return minimalize(total)

@@ -235,3 +235,35 @@ class TestExitCodes:
     def test_prime_beyond_exact_range(self, capsys):
         assert main(["classify", "x1*x2", "--p", str(10**30)]) == EXIT_INVALID
         assert "too large" in capsys.readouterr().err
+
+
+class TestRepeatedMain:
+    CALLS = [
+        ["oracle", "x1*x2, x2*x3", "--p", "2", "--max-e", "3", "--json"],
+        ["locus", "x1*x2, x2*x3, x3*x4", "--p", "3", "--ambient", "full"],
+        ["classify", "x1*x2", "--p", "2"],
+        ["oracle", "x1*x2, x2*x3", "--p", "2", "--bogus"],  # argparse: exit 2
+        ["colon", "x1*x2, x2*x3", "--p", "2", "--e", "2"],
+        ["enumerate", "--vars", "3", "--p", "2", "--json"],
+        ["classify", "x1*x2", "--p", "4"],
+        ["oracle", "x1*x2, x2*x3", "--p", "2"],
+    ]
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def test_one_process_runs_main_many_times(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli._build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        assert [code for code, _ in fresh] == [0, 0, 0, 2, 0, 0, EXIT_INVALID, 0]
+        parser = cli._build_parser()
+        for argv, expected in zip(self.CALLS, fresh):
+            assert self._run(argv, capsys) == expected, argv
+        assert cli._build_parser() is parser

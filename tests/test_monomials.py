@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,36 @@ class TestPrimePower:
     def test_from_q_rejects_non_prime_powers(self, q):
         with pytest.raises(ValueError):
             PrimePower.from_q(q)
+
+    def test_from_q_matches_factorization(self):
+        def by_division(q):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+
+        for q in range(2, 3000):
+            try:
+                found = PrimePower.from_q(q)
+            except ValueError:
+                found = None
+            assert (None if found is None else (found.p, found.e)) == by_division(q)
+
+    def test_from_q_large_prime_is_fast(self):
+        start = time.perf_counter()
+        power = MonomialIdeal([(1, 1)]).frobenius_power(2**61 - 1)
+        assert power.generators() == ((2**61 - 1, 2**61 - 1),)
+        assert PrimePower.from_q(2**200) == PrimePower(2, 200)
+        assert PrimePower.from_q((2**61 - 1) ** 3) == PrimePower(2**61 - 1, 3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_from_q_rejects_large_semiprime_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not a prime power"):
+            PrimePower.from_q(1099511627791 * 1099511627803)  # primes near 2^40
+        assert time.perf_counter() - start < 1.0
 
     def test_is_prime(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _brute
 from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import ResourceLimit
 from frobloc.monomials import MonomialIdeal, PrimePower
-from frobloc.oracle import _compositions, classify_up_to, compute_f, compute_l
+from frobloc.oracle import classify_up_to, compute_f, compute_l
 from frobloc.symbolic import decompose
 
 
@@ -35,9 +37,12 @@ class TestComputeL:
         assert compute_l({1: f1}, 2, 1).is_zero()
 
     def test_compositions(self):
-        assert _compositions(1) == ()
-        assert _compositions(2) == ((1, 1),)
-        assert set(_compositions(3)) == {(1, 2), (2, 1), (1, 1, 1)}
+        assert _brute.compositions(1) == []
+        assert _brute.compositions(2) == [(1, 1)]
+        assert set(_brute.compositions(3)) == {(1, 2), (2, 1), (1, 1, 1)}
+        assert [len(_brute.compositions(e)) for e in range(1, 7)] == [
+            2 ** (e - 1) - 1 for e in range(1, 7)
+        ]
 
     def test_l2_is_f1_times_frobenius_f1(self, chain3):
         f1 = compute_f(chain3, 2, 1)
@@ -54,12 +59,13 @@ class TestComputeL:
         assert witness not in reachable
 
     def test_order_invariance(self, chain3):
-        # summing the composition terms in any order gives the same ideal
+        # summing the composition terms in any order gives the same ideal,
+        # and that ideal is the graded recurrence compute_l evaluates
         f1 = compute_f(chain3, 2, 1)
         f2 = compute_f(chain3, 2, 2)
         fs = {1: f1, 2: f2}
         terms = []
-        for composition in _compositions(3):
+        for composition in _brute.compositions(3):
             shift = 0
             term = None
             for part in composition:
@@ -76,6 +82,36 @@ class TestComputeL:
         for t in reversed(terms):
             backward = backward + t
         assert forward == backward == compute_l(fs, 2, 3)
+        gens = {k: list(f.generators()) for k, f in fs.items()}
+        assert list(forward.generators()) == _brute.compositions_l(gens, 2, 3)
+
+
+def _matches_compositions(ideal, p, max_e):
+    fs = {e: compute_f(ideal, p, e) for e in range(1, max_e + 1)}
+    gens = {e: list(f.generators()) for e, f in fs.items()}
+    for e in range(1, max_e + 1):
+        fast = list(compute_l(fs, p, e).generators())
+        assert fast == _brute.compositions_l(gens, p, e), (ideal, p, e)
+
+
+@pytest.mark.parametrize("p,max_e", [(2, 4), (3, 3)])
+def test_l_matches_compositions_on_enumerated_ideals(p, max_e):
+    for n in range(1, 5):
+        for ideal, _ in canonical_squarefree_ideals(n):
+            _matches_compositions(ideal, p, max_e)
+
+
+@st.composite
+def squarefree_ideals(draw):
+    n = draw(st.integers(1, 5))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
+    return MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
+
+
+@given(squarefree_ideals(), st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_l_matches_compositions_random(ideal, p):
+    _matches_compositions(ideal, p, 3)
 
 
 class TestClassifyUpTo:
@@ -83,6 +119,17 @@ class TestClassifyUpTo:
         profile = classify_up_to(chain3, 2, 3)
         assert profile.needs_new == (True, True, True)
         assert not profile.finitely_generated_consistent
+
+    def test_depth_six(self, chain3):
+        # 31 compositions at e=6; the graded recurrence needs 5 products,
+        # which keeps the 5-variable path below a second
+        path5 = MonomialIdeal(
+            [tuple(int(k in (i, i + 1)) for k in range(5)) for i in range(4)]
+        )
+        assert classify_up_to(chain3, 2, 6).needs_new == (True,) * 6
+        assert classify_up_to(path5, 2, 6).needs_new == (True,) * 6
+        principal = classify_up_to(MonomialIdeal([(1, 1)]), 2, 6)
+        assert principal.needs_new == (True,) + (False,) * 5
 
     def test_principal_profile(self):
         profile = classify_up_to(MonomialIdeal([(1, 1)]), 2, 3)
