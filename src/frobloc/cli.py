@@ -31,7 +31,7 @@ from .monomials import (
     generator_budget,
     is_prime,
 )
-from .oracle import classify_up_to
+from .oracle import GenerationProfile, classify_up_to
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
@@ -323,8 +323,6 @@ def _cmd_oracle(args) -> int:
     if ideal.is_zero() or ideal.is_unit():
         raise DegenerateIdeal("oracle needs a proper nonzero ideal")
     _require_prime(args.p)
-    if args.max_e < 1:
-        raise ValueError(f"--max-e must be >= 1, got {args.max_e}")
     profile = classify_up_to(ideal, args.p, args.max_e)
     payload = {
         "n": ideal.n,
@@ -361,6 +359,8 @@ def _cmd_enumerate(args) -> int:
     openness_counts = {"open": 0, "not_open": 0, "unknown": 0}
     total_orbit = 0
     checked = disagreements = 0
+    # strata of different classes often localize to the same base ideal
+    profiles: dict[MonomialIdeal, GenerationProfile] = {}
     for ideal, orbit in reps:
         report = build_locus(ideal, args.p, strict=args.strict)
         d = report.decomposition
@@ -370,7 +370,10 @@ def _cmd_enumerate(args) -> int:
         if args.check:
             # the principal verdict does not depend on --strict
             for verdict in report.verdicts:
-                profile = classify_up_to(verdict.localized.base, args.p, args.max_e)
+                base = verdict.localized.base
+                if base not in profiles:
+                    profiles[base] = classify_up_to(base, args.p, args.max_e)
+                profile = profiles[base]
                 checked += 1
                 principal = verdict.generation is GenerationClass.PRINCIPAL
                 if principal != profile.finitely_generated_consistent:
@@ -518,6 +521,8 @@ def main(argv: "list[str] | None" = None) -> int:
             _require_prime(args.p)
         if getattr(args, "e", None) is not None and args.e < 1:
             raise ValueError(f"--e must be >= 1, got {args.e}")
+        if getattr(args, "max_e", None) is not None and args.max_e < 1:
+            raise ValueError(f"--max-e must be >= 1, got {args.max_e}")
         if getattr(args, "vars", None) is not None and args.vars < 1:
             raise ValueError(f"--vars must be >= 1, got {args.vars}")
         return args.handler(args)

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InadmissibleStratum
 from .monomials import MonomialIdeal, PrimePower, format_monomial
 from .monomials import substitute  # noqa: F401  (re-exported: locus.substitute)
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
-    SymExp,
     decompose,
     validate_square_free,
 )
@@ -155,30 +156,28 @@ def _classify(
 
 def _complement_pattern_witness(
     global_d: ColonDecomposition, stratum: Stratum, sub: MonomialIdeal
-) -> "tuple | None":
+) -> "tuple[int, ...] | None":
     """An original J generator whose image on this stratum still carries
     exponents 0, p-1 and p among the variables of Z and stays outside the
     localized I^[p] + ((x^beta)^(p-1)) - the hypothesis under which infinite
-    generation is certified on the whole stratum."""
+    generation is certified on the whole stratum.  Returned at q = p."""
     p = global_d.p
-    inverted = stratum.inverted
+    inverted = [i - 1 for i in stratum.inverted]
     z_positions = [i - 1 for i in sorted(stratum.in_prime)]
     beta_local = [
-        b if (k + 1) not in inverted else 0 for k, b in enumerate(global_d.beta)
+        b if k not in inverted else 0 for k, b in enumerate(global_d.beta)
     ]
     localized_sum = sub.frobenius_power(PrimePower(p, 1)) + MonomialIdeal(
         [[b * (p - 1) for b in beta_local]], sub.n
     )
-    for term in global_d.j_part.terms():
-        image = tuple(
-            SymExp(0, 0) if (k + 1) in inverted else exp for k, exp in enumerate(term)
-        )
-        z_entries = {image[k] for k in z_positions}
-        if not {(0, 0), (1, -1), (1, 0)} <= z_entries:
-            continue
-        concrete = tuple(exp.at(p) for exp in image)
+    images = global_d.j_part.enc.copy()
+    images[:, inverted] = 0
+    z_ranks = images[:, z_positions]
+    full_pattern = np.all([(z_ranks == r).any(axis=1) for r in (0, 1, 2)], axis=0)
+    for row in np.array([0, p - 1, p], dtype=np.int64)[images[full_pattern]]:
+        concrete = tuple(int(c) for c in row)
         if not localized_sum.contains(concrete):
-            return image
+            return concrete
     return None
 
 

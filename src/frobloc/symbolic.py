@@ -1,9 +1,8 @@
 """Colon ideals (I^[q] : I) computed uniformly in q = p^e.
 
 For a square-free monomial ideal the colon (I^[q] : I) is generated by
-monomials whose exponents are affine forms a*q + b that hold simultaneously
-for every q >= 2; in fact every exponent lands in {0, q-1, q}.  The computed
-colon splits into three parts,
+monomials whose exponents hold simultaneously for every q >= 2, and every
+exponent lands in {0, q-1, q}.  The computed colon splits into three parts,
 
     (I^[q] : I) = image of I^[q]  +  J_q  +  ((x^beta)^(q-1)),
 
@@ -12,9 +11,12 @@ obstruction: the algebra of p^e-linear maps on the injective hull is
 principally generated exactly when J is zero, infinitely generated
 otherwise.
 
-Symbolic exponents are encoded as (slope, value-at-q=2) pairs; with that
-encoding, divisibility valid for every q >= 2 is plain componentwise <= on
-the doubled exponent matrix, so the antichain kernels apply unchanged.
+A symbolic monomial is a row of ranks, one per variable: 0 for the exponent
+0, 1 for q-1 and 2 for q.  The chain 0 < q-1 < q is the same for every
+q >= 2, so uniform divisibility is componentwise <= on ranks and lcm is
+componentwise max; the antichain kernels apply unchanged.  The affine form
+a*q + b (``SymExp``) appears only at the boundary: construction, ``terms()``
+and rendering.
 """
 
 from __future__ import annotations
@@ -62,12 +64,17 @@ def format_symbolic_monomial(terms: Sequence[SymExp]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+# the exponent of each rank, as an affine form a*q + b
+_RANK_FORMS = (SymExp(0, 0), SymExp(1, -1), SymExp(1, 0))
+_FORM_RANK = {form: rank for rank, form in enumerate(_RANK_FORMS)}
+
+
 class SymbolicIdeal:
     """Antichain of symbolic monomials, uniform over all q >= 2.
 
-    Internally an (m, 2n) int64 matrix: the first n columns are slopes, the
-    last n the values at q = 2.  Uniform divisibility is componentwise <= on
-    these rows, which keeps minimalization exact for every q at once.
+    Internally an (m, n) int64 matrix of ranks (0, 1, 2 for 0, q-1, q).
+    Uniform divisibility is componentwise <= on these rows, which keeps
+    minimalization exact for every q at once.
     """
 
     __slots__ = ("n", "enc")
@@ -78,12 +85,13 @@ class SymbolicIdeal:
             term = list(term)
             if len(term) != n:
                 raise ValueError(f"expected {n} symbolic exponents, got {len(term)}")
-            slopes = [int(a) for a, _ in term]
-            vals = [int(a) * 2 + int(b) for a, b in term]
-            if any(a < 0 for a in slopes) or any(v < 0 for v in vals):
-                raise ValueError(f"symbolic exponent negative at q=2: {term}")
-            rows.append(slopes + vals)
-        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
+            try:
+                rows.append([_FORM_RANK[int(a), int(b)] for a, b in term])
+            except KeyError:
+                raise ValueError(
+                    f"symbolic exponent outside {{0, q-1, q}}: {term}"
+                ) from None
+        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), n)
         self._install(_minimal_encoded(matrix), n)
 
     def _install(self, enc: np.ndarray, n: int) -> None:
@@ -102,12 +110,12 @@ class SymbolicIdeal:
 
     @classmethod
     def from_encoded(cls, enc: np.ndarray, n: int) -> "SymbolicIdeal":
-        enc = np.asarray(enc, dtype=np.int64).reshape(-1, 2 * n)
+        enc = np.asarray(enc, dtype=np.int64).reshape(-1, n)
         return cls._from_canonical(_minimal_encoded(enc), n)
 
     @classmethod
     def zero(cls, n: int) -> "SymbolicIdeal":
-        return cls._from_canonical(np.empty((0, 2 * n), dtype=np.int64), n)
+        return cls._from_canonical(np.empty((0, n), dtype=np.int64), n)
 
     def is_zero(self) -> bool:
         return self.enc.shape[0] == 0
@@ -116,24 +124,14 @@ class SymbolicIdeal:
         return self.enc.shape[0]
 
     def terms(self) -> tuple[tuple[SymExp, ...], ...]:
-        n = self.n
-        out = []
-        for row in self.enc:
-            out.append(
-                tuple(SymExp(int(row[i]), int(row[n + i] - 2 * row[i])) for i in range(n))
-            )
-        return tuple(out)
+        return tuple(tuple(_RANK_FORMS[r] for r in row) for row in self.enc.tolist())
 
     def instantiate(self, q: int) -> MonomialIdeal:
         """Concrete ideal at the given q >= 2 (re-minimalized for safety)."""
         if q < 2:
             raise ValueError(f"q={q} must be >= 2")
-        n = self.n
-        slopes = self.enc[:, :n]
-        vals = self.enc[:, n:]
-        # a*q + b  ==  a*(q-2) + value-at-2
-        exps = slopes * np.int64(q - 2) + vals
-        return MonomialIdeal.from_matrix(exps, n)
+        exps = np.array([0, q - 1, q], dtype=np.int64)[self.enc]
+        return MonomialIdeal.from_matrix(exps, self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymbolicIdeal):
@@ -152,27 +150,17 @@ class SymbolicIdeal:
         return "(" + ", ".join(format_symbolic_monomial(t) for t in self.terms()) + ")"
 
 
-def _minimal_encoded(matrix: np.ndarray) -> np.ndarray:
-    if matrix.shape[0] == 0:
-        return matrix.astype(np.int64)
-    unique = np.unique(matrix, axis=0)
-    keep = _kernels.minimal_mask(unique)
-    return np.ascontiguousarray(unique[keep])
-
-
-def _sym_max(a_slopes, a_vals, b_slopes, b_vals):
-    """Componentwise max of affine forms; defined only for comparable pairs.
-
-    Two forms are comparable when slope and q=2 value order the same way;
-    all forms reached from square-free input stay inside the chain
-    0 <= constants <= q-1 <= q, so incomparability signals a bug.
-    """
-    comparable = ((a_slopes <= b_slopes) & (a_vals <= b_vals)) | (
-        (b_slopes <= a_slopes) & (b_vals <= a_vals)
-    )
-    if not comparable.all():
-        raise FroblocError("incomparable symbolic exponents in lcm")
-    return np.maximum(a_slopes, b_slopes), np.maximum(a_vals, b_vals)
+def _minimal_encoded(ranks: np.ndarray) -> np.ndarray:
+    """Minimal rows of a rank matrix in the canonical generator order:
+    lexicographic by the support (the slope vector of a*q + b), then by
+    rank."""
+    if ranks.shape[0] == 0:
+        return ranks.astype(np.int64)
+    unique = np.unique(ranks, axis=0)
+    minimal = unique[_kernels.minimal_mask(unique)]
+    # np.lexsort sorts by its last key first
+    order = np.lexsort(np.hstack([minimal > 0, minimal]).T[::-1])
+    return np.ascontiguousarray(minimal[order])
 
 
 # ---------------------------------------------------------------------------
@@ -206,41 +194,29 @@ def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
     """(I^[q] : I) as one symbolic ideal valid for every q = p^e.
 
     Intersection over generators g of (I^[q] : x^g); each single colon has
-    generators lcm(h, x^g)/x^g with exponents in {0, q-1, q}, and symbolic
-    lcm/minimalization stay exact because that value set is totally ordered
-    uniformly in q.  p itself plays no arithmetic role.
+    generators lcm(h^[q], x^g)/x^g with exponents in {0, q-1, q}, and
+    symbolic lcm/minimalization stay exact because that value set is totally
+    ordered uniformly in q.  p itself plays no arithmetic role.
     """
     validate_square_free(ideal)
     _validate_p(p)
     n = ideal.n
     gens = ideal.gens
-    # I^[q]: slope = generator exponent (0/1), value at 2 = twice that
-    h_slopes = gens
-    h_vals = 2 * gens
 
     result: "SymbolicIdeal | None" = None
-    zero_slopes = np.zeros((1, n), dtype=np.int64)
     for g in gens:
-        # the divisor x^g is a constant form: slope 0, value-at-2 equal to g
-        s, v = _sym_max(h_slopes, h_vals, zero_slopes, g[None, :])
-        v = v - g[None, :]
-        single = SymbolicIdeal.from_encoded(np.hstack([s, v]), n)
+        # exponent q - g_i where h_i = 1 and 0 elsewhere: rank 2 - g_i or 0
+        single = SymbolicIdeal.from_encoded(2 * gens - (gens & g), n)
         result = single if result is None else _sym_intersect(result, single)
     assert result is not None
     return result
 
 
 def _sym_intersect(a: SymbolicIdeal, b: SymbolicIdeal) -> SymbolicIdeal:
-    n = a.n
     if a.is_zero() or b.is_zero():
-        return SymbolicIdeal.zero(n)
-    asl, avl = a.enc[:, :n], a.enc[:, n:]
-    bsl, bvl = b.enc[:, :n], b.enc[:, n:]
-    s, v = _sym_max(
-        asl[:, None, :], avl[:, None, :], bsl[None, :, :], bvl[None, :, :]
-    )
-    enc = np.concatenate([s, v], axis=2).reshape(-1, 2 * n)
-    return SymbolicIdeal.from_encoded(enc, n)
+        return SymbolicIdeal.zero(a.n)
+    lcms = np.maximum(a.enc[:, None, :], b.enc[None, :, :]).reshape(-1, a.n)
+    return SymbolicIdeal.from_encoded(lcms, a.n)
 
 
 class GenerationClass(enum.Enum):
@@ -287,12 +263,9 @@ class ColonDecomposition:
         """
         w = sorted(set(inverted))
         sub = substitute(self.base, w)
-        n = self.base.n
-        cols = [i - 1 for i in w]
         enc = self.colon.enc.copy()
-        enc[:, cols] = 0
-        enc[:, [n + c for c in cols]] = 0
-        return _partition(sub, self.p, SymbolicIdeal.from_encoded(enc, n))
+        enc[:, [i - 1 for i in w]] = 0
+        return _partition(sub, self.p, SymbolicIdeal.from_encoded(enc, sub.n))
 
     @property
     def socle_exponents(self) -> tuple[SymExp, ...]:
@@ -343,10 +316,11 @@ def _partition(
     n = ideal.n
     beta = compute_beta(ideal)
 
-    frob_enc = np.hstack([ideal.gens, 2 * ideal.gens])
-    in_frob = _encoded_divides_any(frob_enc, sym.enc)
-    socle_enc = np.array([[b for b in beta] + [b for b in beta]], dtype=np.int64)
-    in_socle = _encoded_divides_any(socle_enc, sym.enc) & ~in_frob
+    # the Frobenius part is divisible by some q*gamma_i (ranks 2*gamma_i),
+    # the socle part by (x^beta)^(q-1) (ranks beta)
+    in_frob = _kernels.divides_any(2 * ideal.gens, sym.enc)
+    socle_enc = np.array([beta], dtype=np.int64)
+    in_socle = _kernels.divides_any(socle_enc, sym.enc) & ~in_frob
     in_j = ~in_frob & ~in_socle
 
     frob_part = SymbolicIdeal._from_canonical(
@@ -355,16 +329,13 @@ def _partition(
     j_part = SymbolicIdeal._from_canonical(np.ascontiguousarray(sym.enc[in_j]), n)
 
     # residual generators always carry a q and a q-1 exponent simultaneously
-    for term in j_part.terms():
-        pairs = {(a, b) for a, b in term}
-        if (1, 0) not in pairs or (1, -1) not in pairs:
-            raise FroblocError(f"residual generator without q/q-1 pattern: {term}")
+    j = j_part.enc
+    pattern = (j == 1).any(axis=1) & (j == 2).any(axis=1)
+    if not pattern.all():
+        term = j_part.terms()[int(np.argmin(pattern))]
+        raise FroblocError(f"residual generator without q/q-1 pattern: {term}")
 
     return ColonDecomposition(ideal, p, frob_part, j_part, beta, sym)
-
-
-def _encoded_divides_any(gens_enc: np.ndarray, queries_enc: np.ndarray) -> np.ndarray:
-    return _kernels.divides_any(gens_enc, queries_enc)
 
 
 def classify_global(decomposition: ColonDecomposition) -> GenerationClass:

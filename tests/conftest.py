@@ -1,13 +1,6 @@
 import pytest
 
-from frobloc import _kernels
 from frobloc.monomials import MonomialIdeal
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # pay any JIT compilation before timed assertions run
-    _kernels.warmup()
 
 
 @pytest.fixture

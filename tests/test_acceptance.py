@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  Budgets are wall-clock and exclude one-time JIT warmup
-(handled by the session fixture in conftest).
+lines and timings.  Budgets are wall-clock.
 """
 
 import random

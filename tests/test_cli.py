@@ -190,6 +190,20 @@ class TestExitCodes:
     def test_bad_e(self, capsys):
         assert main(["colon", "x1*x2", "--p", "2", "--e", "0"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["locus", "x1*x2, x2*x3", "--p", "2", "--check", "--max-e", "0"],
+            ["enumerate", "--vars", "3", "--p", "2", "--check", "--max-e", "0"],
+            ["oracle", "x1*x2", "--p", "2", "--max-e", "0"],
+        ],
+    )
+    def test_bad_max_e_rejected_before_any_output(self, capsys, argv):
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--max-e must be >= 1" in err
+
     def test_unit_ideal_rejected(self, capsys):
         # x0 is a parse error; the unit ideal arrives via minimalization
         assert main(["decompose", "x1, x1*x2", "--p", "2"]) == EXIT_OK

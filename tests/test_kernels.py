@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -40,49 +36,3 @@ def test_edge_shapes():
     assert _kernels.minimal_mask(rows).tolist() == [True]
     assert _kernels.divides_any(empty, rows).tolist() == [False]
     assert _kernels.divides_any(rows, empty).shape == (0,)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not importable")
-def test_backends_agree():
-    rng = np.random.default_rng(7)
-    rows = _random_unique(rng, 200, 5, 6)
-    queries = rng.integers(0, 12, size=(150, 5), dtype=np.int64)
-    np_mask, np_div = _kernels.IMPLEMENTATIONS["numpy"]
-    nb_mask, nb_div = _kernels.IMPLEMENTATIONS["numba"]
-    assert np.array_equal(np_mask(rows), nb_mask(rows))
-    assert np.array_equal(np_div(rows, queries), nb_div(rows, queries))
-
-
-def test_set_backend_roundtrip():
-    original = _kernels.ACTIVE_BACKEND
-    try:
-        _kernels.set_backend("numpy")
-        assert _kernels.ACTIVE_BACKEND == "numpy"
-        rows = np.array([[0, 1], [1, 0], [1, 1]], dtype=np.int64)
-        assert _kernels.minimal_mask(rows).tolist() == [True, True, False]
-    finally:
-        _kernels.set_backend(original)
-    with pytest.raises(RuntimeError):
-        _kernels.set_backend("cuda")
-
-
-def test_env_flag_selects_numpy_backend():
-    code = (
-        "import frobloc._kernels as k; "
-        "assert k.ACTIVE_BACKEND == 'numpy', k.ACTIVE_BACKEND; "
-        "import frobloc; "
-        "i = frobloc.MonomialIdeal([(1, 1, 0), (0, 1, 1)]); "
-        "assert frobloc.decompose(i, 2).j_part.num_generators() == 2"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={
-            "FROBLOC_BACKEND": "numpy",
-            "PATH": "/usr/bin:/bin",
-            # the child must import the same uninstalled frobloc as the parent
-            "PYTHONPATH": os.environ.get("PYTHONPATH", ""),
-        },
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr

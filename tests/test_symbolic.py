@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import DegenerateIdeal, SquareFreeViolation
@@ -53,15 +56,11 @@ class TestSymbolicIdeal:
         ideal = SymbolicIdeal([[QM1, Z], [Q, Z]], 2)
         assert ideal.terms() == ((SymExp(1, -1), SymExp(0, 0)),)
 
-    def test_constant_vs_slope_comparison(self):
-        # 1 <= q-1 for every q >= 2 (equality at q=2), so x1 divides x1^(q-1)
-        ideal = SymbolicIdeal([[(0, 1)], [QM1]], 1)
-        assert ideal.terms() == ((SymExp(0, 1),),)
-
-    def test_incomparable_forms_coexist(self):
-        # 3 vs q-1: crosses at q=4, neither divides the other uniformly
-        ideal = SymbolicIdeal([[(0, 3)], [QM1]], 1)
-        assert ideal.num_generators() == 2
+    @pytest.mark.parametrize("form", [(0, 1), (0, 2), (0, 3), (2, 1), (1, -3)])
+    def test_forms_outside_rank_chain_rejected(self, form):
+        # only 0, q-1 and q have a rank
+        with pytest.raises(ValueError):
+            SymbolicIdeal([[form, Q]], 2)
 
     def test_instantiate_validates(self):
         ideal = SymbolicIdeal([[Q]], 1)
@@ -75,8 +74,8 @@ class TestSymbolicIdeal:
             SymbolicIdeal([[(1, -3)]], 1)
 
     def test_render(self):
-        ideal = SymbolicIdeal([[Q, QM1, Z, (0, 2)]], 4)
-        assert ideal.render() == "(x1^q*x2^(q-1)*x4^2)"
+        ideal = SymbolicIdeal([[Q, QM1, Z, Q]], 4)
+        assert ideal.render() == "(x1^q*x2^(q-1)*x4^q)"
         assert format_symbolic_monomial((SymExp(0, 0),)) == "1"
         assert format_symbolic_monomial((SymExp(0, 1), SymExp(2, 1))) == "x1*x2^(2q+1)"
 
@@ -132,6 +131,17 @@ class TestDecompose:
         d = decompose(chain5, 2)
         total = d.frobenius_part.num_generators() + d.j_part.num_generators() + 1
         assert total == colon_symbolic(chain5, 2).num_generators()
+
+    def test_generator_order(self):
+        # support (slope vector) first, then rank; plain rank order would
+        # put the second generator last
+        ideal = MonomialIdeal([(0, 0, 1, 1, 0), (1, 0, 1, 0, 1), (1, 1, 0, 0, 0)])
+        assert decompose(ideal, 2).j_part.terms() == (
+            (QM1, Z, Q, QM1, Q),
+            (Q, QM1, QM1, Z, Q),
+            (QM1, QM1, QM1, Q, Z),
+            (QM1, Q, QM1, QM1, Z),
+        )
 
     def test_socle_exponents(self, chain3):
         assert decompose(chain3, 2).socle_exponents == (
@@ -253,13 +263,41 @@ def test_classification_independent_of_p():
 
 
 def test_e_stability_sweep_all_small_ideals():
-    # beyond the named fixtures: every canonical square-free ideal, n <= 4
-    for n in (1, 2, 3, 4):
+    # beyond the named fixtures: every canonical square-free ideal, n <= 5
+    for n in (1, 2, 3, 4, 5):
         for ideal, _ in canonical_squarefree_ideals(n):
-            sym = colon_symbolic(ideal, 2)
-            for e in (1, 2):
-                concrete = ideal.frobenius_power(PrimePower(2, e)).colon(ideal)
-                assert sym.instantiate(2**e) == concrete, (ideal.render(), e)
+            for p in (2, 3, 5):
+                sym = colon_symbolic(ideal, p)
+                for e in (1, 2):
+                    concrete = ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
+                    assert sym.instantiate(p**e) == concrete, (ideal.render(), p, e)
+
+
+@st.composite
+def ideal_and_inverted(draw):
+    """A random square-free ideal, n <= 7, and a set W of variables whose
+    inversion leaves it proper."""
+    n = draw(st.integers(1, 7))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
+    z = draw(st.integers(0, (1 << n) - 1))
+    for g in ideal.generators():  # keep a variable of every generator
+        if not any(g[i] and z >> i & 1 for i in range(n)):
+            z |= 1 << g.index(1)
+    return ideal, [i + 1 for i in range(n) if not z >> i & 1]
+
+
+@given(ideal_and_inverted(), st.sampled_from([2, 3, 5]))
+@settings(max_examples=60, deadline=None)
+def test_rank_encoding_random(case, p):
+    ideal, inverted = case
+    sym = colon_symbolic(ideal, p)
+    for e in (1, 2):
+        concrete = ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
+        assert sym.instantiate(p**e) == concrete
+    local = decompose(ideal, p).localize(inverted)
+    for part in (local.colon, local.frobenius_part, local.j_part):
+        assert set(np.unique(part.enc).tolist()) <= {0, 1, 2}
 
 
 def test_j_part_disjoint_from_other_groups():
