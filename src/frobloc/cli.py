@@ -29,7 +29,7 @@ from .monomials import (
     PrimePower,
     format_monomial,
     generator_budget,
-    is_prime,
+    require_prime,
 )
 from .oracle import GenerationProfile, classify_up_to
 from .symbolic import (
@@ -136,12 +136,6 @@ def _read_ideal_argument(args) -> IdealExpression:
     if text == "-":
         text = sys.stdin.read()
     return parse_ideal(text, args.vars)
-
-
-def _require_prime(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    return p
 
 
 def _sym_json(ideal) -> list:
@@ -304,17 +298,29 @@ def _cmd_locus(args) -> int:
     }
     _emit(args, payload, _locus_text(report))
     if args.check:
-        for v in report.verdicts:
-            profile = classify_up_to(v.localized.base, args.p, args.max_e)
-            principal = v.generation is GenerationClass.PRINCIPAL
-            if principal != profile.finitely_generated_consistent:
-                print(
-                    f"disagreement on {v.stratum.render()}: classifier says "
-                    f"{v.generation.label}, oracle profile {profile.needs_new}",
-                    file=sys.stderr,
-                )
-                return EXIT_DISAGREEMENT
+        for v, profile in _disagreements(report.verdicts, args.p, args.max_e, {}):
+            print(
+                f"disagreement on {v.stratum.render()}: classifier says "
+                f"{v.generation.label}, oracle profile {profile.needs_new}",
+                file=sys.stderr,
+            )
+            return EXIT_DISAGREEMENT
     return EXIT_OK
+
+
+def _disagreements(
+    verdicts, p: int, max_e: int, profiles: dict[MonomialIdeal, GenerationProfile]
+):
+    """Yield (verdict, oracle profile) for each verdict the oracle contradicts;
+    ``profiles`` memoizes the oracle by localized base, which strata share.
+    The principal verdict does not depend on --strict."""
+    for verdict in verdicts:
+        base = verdict.localized.base
+        if base not in profiles:
+            profiles[base] = classify_up_to(base, p, max_e)
+        principal = verdict.generation is GenerationClass.PRINCIPAL
+        if principal != profiles[base].finitely_generated_consistent:
+            yield verdict, profiles[base]
 
 
 def _cmd_oracle(args) -> int:
@@ -322,7 +328,6 @@ def _cmd_oracle(args) -> int:
     ideal = expr.to_ideal()
     if ideal.is_zero() or ideal.is_unit():
         raise DegenerateIdeal("oracle needs a proper nonzero ideal")
-    _require_prime(args.p)
     profile = classify_up_to(ideal, args.p, args.max_e)
     payload = {
         "n": ideal.n,
@@ -352,7 +357,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_enumerate(args) -> int:
     from .enumeration import canonical_squarefree_ideals
 
-    _require_prime(args.p)
     reps = canonical_squarefree_ideals(args.vars)
     rows = []
     counts = {"principal": 0, "infinite": 0}
@@ -368,16 +372,10 @@ def _cmd_enumerate(args) -> int:
         openness_counts[report.openness.value] += 1
         total_orbit += orbit
         if args.check:
-            # the principal verdict does not depend on --strict
-            for verdict in report.verdicts:
-                base = verdict.localized.base
-                if base not in profiles:
-                    profiles[base] = classify_up_to(base, args.p, args.max_e)
-                profile = profiles[base]
-                checked += 1
-                principal = verdict.generation is GenerationClass.PRINCIPAL
-                if principal != profile.finitely_generated_consistent:
-                    disagreements += 1
+            checked += len(report.verdicts)
+            disagreements += sum(
+                1 for _ in _disagreements(report.verdicts, args.p, args.max_e, profiles)
+            )
         rows.append(
             {
                 "generators": _gens_json(ideal),
@@ -517,8 +515,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         generator_budget()  # reject a malformed FROBLOC_MAX_GENS up front
-        if getattr(args, "p", None) is not None:
-            _require_prime(args.p)
+        require_prime(args.p)  # every subcommand takes --p
         if getattr(args, "e", None) is not None and args.e < 1:
             raise ValueError(f"--e must be >= 1, got {args.e}")
         if getattr(args, "max_e", None) is not None and args.max_e < 1:

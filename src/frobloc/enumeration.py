@@ -10,18 +10,10 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, exponents_to_mask, mask_to_exponents  # noqa: F401
 
 # antichain counts grow like the Dedekind numbers; n=6 is already millions
 MAX_ENUMERATION_VARS = 5
-
-
-def mask_to_exponents(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
-
-
-def exponents_to_mask(exps) -> int:
-    return sum(1 << i for i, c in enumerate(exps) if c > 0)
 
 
 def ideal_from_masks(masks, n: int) -> MonomialIdeal:

@@ -92,6 +92,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """q = p^e with p prime and e >= 1."""
@@ -100,8 +106,7 @@ class PrimePower:
     e: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
+        require_prime(self.p)
         if self.e < 1:
             raise ValueError(f"e={self.e} must be >= 1 (q = p^e >= 2)")
 
@@ -162,6 +167,15 @@ def mono_mul(a: Exponents, b: Exponents) -> tuple[int, ...]:
     if len(a) != len(b):
         raise AmbientMismatch(f"monomials in {len(a)} and {len(b)} variables")
     return tuple(x + y for x, y in zip(a, b))
+
+
+def mask_to_exponents(mask: int, n: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def exponents_to_mask(exps: Exponents) -> int:
+    """Support as an int: bit i-1 is set iff x_i occurs."""
+    return sum(1 << i for i, c in enumerate(exps) if c > 0)
 
 
 def format_monomial(exps: Exponents, power_suffix: str = "") -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateIdeal, FroblocError, SquareFreeViolation
-from .monomials import MonomialIdeal, PrimePower, is_prime, substitute
+from .monomials import MonomialIdeal, PrimePower, require_prime, substitute
 
 
 class SymExp(NamedTuple):
@@ -184,12 +184,6 @@ def compute_beta(ideal: MonomialIdeal) -> tuple[int, ...]:
     return tuple(int(v) for v in (ideal.gens > 0).any(axis=0))
 
 
-def _validate_p(p: int) -> int:
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    return p
-
-
 def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
     """(I^[q] : I) as one symbolic ideal valid for every q = p^e.
 
@@ -199,7 +193,7 @@ def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
     ordered uniformly in q.  p itself plays no arithmetic role.
     """
     validate_square_free(ideal)
-    _validate_p(p)
+    require_prime(p)
     n = ideal.n
     gens = ideal.gens
 

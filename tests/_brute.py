@@ -88,3 +88,88 @@ def compositions_l(f_gens, p, e):
             shift += part
         total.extend(term)
     return minimalize(total)
+
+
+# ---------------------------------------------------------------------------
+# stratum-level references: frozensets of variable indexes and concrete
+# exponents at q = p, read from the library's objects through their public
+# fields only
+
+
+def complement_pattern_witness(global_d, stratum, sub):
+    """The concrete certificate search at q = p: an original J generator
+    whose image on the stratum shows the exponents 0, p-1 and p among the
+    variables of Z and lies outside the localized I^[p] + ((x^beta)^(p-1)).
+    Returns that image, or None."""
+    p = global_d.p
+    z = stratum.in_prime
+    w = frozenset(range(1, stratum.n + 1)) - z
+    socle = tuple(
+        0 if i in w else b * (p - 1) for i, b in enumerate(global_d.beta, 1)
+    )
+    localized_sum = [tuple(p * c for c in g) for g in sub.generators()] + [socle]
+    for term in global_d.j_part.terms():
+        image = tuple(0 if i in w else e.at(p) for i, e in enumerate(term, 1))
+        if {image[i - 1] for i in z} >= {0, p - 1, p} and not contains(
+            localized_sum, image
+        ):
+            return image
+    return None
+
+
+def is_open(members, universe, undetermined=()):
+    """Openness ("open", "not_open" or "unknown") of a union of strata by
+    frozenset inclusion: open iff the complement is upward-closed, unknown
+    when that depends on where the undetermined strata land."""
+    members = set(members)
+    undet = set(undetermined) - members
+    complement = set(universe) - members - undet
+    closure = {
+        z for z in universe if any(m.in_prime <= z.in_prime for m in complement)
+    }
+    open_possible = (closure - complement) <= undet
+    if complement == closure:
+        notopen_possible = any(
+            any(s.in_prime < z.in_prime and z not in complement for z in universe)
+            for s in undet
+        )
+    else:
+        notopen_possible = True
+    if open_possible and notopen_possible:
+        return "unknown"
+    return "open" if open_possible else "not_open"
+
+
+def render_expression(members, universe):
+    """D/V display of a union of strata by frozenset inclusion: a minimal
+    member whose whole up-set lies in the family is written V(...), every
+    other member as V(...) ∩ D(...)."""
+    members = set(members)
+    if not members:
+        return "(empty)"
+
+    def v(s):
+        return "V((" + ",".join(f"x{i}" for i in sorted(s.in_prime)) + "))"
+
+    consumed = set()
+    pieces = []
+    def bitmask(s):
+        return sum(1 << (i - 1) for i in s.in_prime)
+
+    for z in sorted(members, key=lambda s: (len(s.in_prime), bitmask(s))):
+        if z in consumed:
+            continue
+        minimal = not any(m.in_prime < z.in_prime for m in members)
+        up = {s for s in universe if z.in_prime <= s.in_prime}
+        if minimal and up <= members:
+            pieces.append(v(z))
+            consumed |= up
+            continue
+        w = sorted(frozenset(range(1, z.n + 1)) - z.in_prime)
+        d = "D(" + "*".join(f"x{i}" for i in w) + ")" if w else None
+        if z.in_prime and d:
+            pieces.append(f"({v(z)} ∩ {d})")
+        else:
+            pieces.append(v(z) if z.in_prime else d or "Spec")
+        consumed.add(z)
+    return " ∪ ".join(pieces)

@@ -1,6 +1,15 @@
+import functools
+
 import pytest
 
+from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.monomials import MonomialIdeal
+
+
+@pytest.fixture(scope="session")
+def squarefree_classes():
+    """canonical_squarefree_ideals(n), enumerated once per test session."""
+    return functools.cache(lambda n: tuple(canonical_squarefree_ideals(n)))
 
 
 @pytest.fixture

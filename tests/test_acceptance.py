@@ -107,7 +107,7 @@ def test_criterion_2_e_stability():
 def test_criterion_3_locus_reproduction_chain3():
     with criterion(3, "locus reproduction for (x1*x2, x2*x3)", 1.0):
         report = build_locus(CHAIN3, 2)
-        maximal = Stratum(3, frozenset({1, 2, 3}))
+        maximal = Stratum(3, 0b111)
         assert set(report.complement_strata) == {maximal}
         assert report.expression_complement == "V((x1,x2,x3))"
         assert report.openness is Openness.OPEN
@@ -118,7 +118,7 @@ def test_criterion_3_locus_reproduction_chain3():
 
         u_prime = set(u_prime_strata(CHAIN3, annihilator))
         u = set(report.u_strata)
-        x2_stratum = Stratum(3, frozenset({2}))
+        x2_stratum = Stratum(3, 0b010)
         assert u_prime < u
         assert x2_stratum in u
         assert x2_stratum not in u_prime

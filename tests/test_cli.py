@@ -4,6 +4,7 @@ import pytest
 
 from frobloc import cli
 from frobloc.cli import (
+    EXIT_DISAGREEMENT,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
@@ -13,7 +14,11 @@ from frobloc.cli import (
     main,
     parse_ideal,
 )
+from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import AmbientMismatch, InadmissibleStratum
+from frobloc.locus import build_locus
+from frobloc.oracle import GenerationProfile
+from frobloc.symbolic import GenerationClass
 
 
 class TestParseIdeal:
@@ -164,6 +169,21 @@ class TestCommands:
         code = main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--check"])
         assert code == EXIT_OK
 
+    def test_locus_check_runs_the_oracle_once_per_base(self, capsys, monkeypatch):
+        bases = []
+        oracle = cli.classify_up_to
+
+        def counting(ideal, p, max_e):
+            bases.append(ideal)
+            return oracle(ideal, p, max_e)
+
+        monkeypatch.setattr(cli, "classify_up_to", counting)
+        path8 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 8))
+        assert main(["locus", path8, "--p", "2", "--check"]) == EXIT_OK
+        assert "Z={" in capsys.readouterr().out
+        # 55 strata, 32 distinct localized bases
+        assert len(bases) == len(set(bases)) == 32
+
     def test_locus_full_ambient(self, capsys):
         assert main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--ambient", "full"]) == 0
         out = capsys.readouterr().out
@@ -203,6 +223,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--max-e must be >= 1" in err
+
+    def test_oracle_disagreement(self, capsys, monkeypatch):
+        def always_infinite(ideal, p, max_e):
+            return GenerationProfile(ideal, p, max_e, (), (), (True,) * max_e)
+
+        monkeypatch.setattr(cli, "classify_up_to", always_infinite)
+        # the report is printed, then the first disagreement ends the run
+        code = main(["locus", "x1*x2, x2*x3", "--p", "2", "--check"])
+        assert code == EXIT_DISAGREEMENT
+        out, err = capsys.readouterr()
+        assert "stratum table:" in out
+        assert err.startswith("disagreement on Z={") and err.count("\n") == 1
+        # enumerate counts every disagreeing stratum
+        argv = ["enumerate", "--vars", "3", "--p", "2", "--check", "--json"]
+        assert main(argv) == EXIT_DISAGREEMENT
+        principal = sum(
+            v.generation is GenerationClass.PRINCIPAL
+            for ideal, _ in canonical_squarefree_ideals(3)
+            for v in build_locus(ideal, 2).verdicts
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["disagreements"] == principal > 1
 
     def test_unit_ideal_rejected(self, capsys):
         # x0 is a parse error; the unit ideal arrives via minimalization

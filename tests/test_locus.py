@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import InadmissibleStratum
 from frobloc.locus import (
     Certificate,
@@ -21,6 +20,7 @@ from frobloc.locus import (
     render_u_prime,
     substitute,
     u_prime_strata,
+    _has_complement_pattern,
 )
 from frobloc.monomials import MonomialIdeal, PrimePower
 from frobloc.oracle import classify_up_to
@@ -28,7 +28,7 @@ from frobloc.symbolic import GenerationClass, compute_u_prime, decompose
 
 
 def Z(n, *vars_):
-    return Stratum(n, frozenset(vars_))
+    return Stratum(n, sum(1 << (i - 1) for i in vars_))
 
 
 class TestSubstitute:
@@ -66,7 +66,7 @@ class TestStrata:
         assert all(1 in s.in_prime for s in got)
 
     def test_order_is_bitmask(self, chain3):
-        masks = [s.bitmask for s in enumerate_strata(chain3, False)]
+        masks = [s.mask for s in enumerate_strata(chain3, False)]
         assert masks == sorted(masks)
 
     def test_admissibility(self, chain4):
@@ -206,7 +206,7 @@ class TestIsOpen:
             members = {s for s in universe if rng.random() < 0.4}
             undet = {s for s in universe if s not in members and rng.random() < 0.3}
             verdicts = set()
-            undet_list = sorted(undet, key=lambda s: s.bitmask)
+            undet_list = sorted(undet, key=lambda s: s.mask)
             for bits in range(1 << len(undet_list)):
                 extra = {
                     s for k, s in enumerate(undet_list) if bits >> k & 1
@@ -262,11 +262,11 @@ class TestUPrimeRegion:
 # invariants
 
 
-def test_full_support_stratum_matches_global():
+def test_full_support_stratum_matches_global(squarefree_classes):
     for n in (2, 3):
-        for ideal, _ in canonical_squarefree_ideals(n):
-            support = frozenset(
-                i + 1 for i in range(n) if any(g[i] for g in ideal.generators())
+        for ideal, _ in squarefree_classes(n):
+            support = sum(
+                1 << i for i in range(n) if any(g[i] for g in ideal.generators())
             )
             v = classify_stratum(ideal, 2, Stratum(n, support))
             assert v.generation is decompose(ideal, 2).generation_class
@@ -298,9 +298,9 @@ def test_infinite_family_upward_closed(chain3, chain4):
                     assert z2 in family
 
 
-def test_oracle_agreement_all_strata_n3():
+def test_oracle_agreement_all_strata_n3(squarefree_classes):
     for n in (1, 2, 3):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in squarefree_classes(n):
             for s in enumerate_strata(ideal, True):
                 v = classify_stratum(ideal, 2, s)
                 profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
@@ -308,16 +308,16 @@ def test_oracle_agreement_all_strata_n3():
                 assert principal == profile.finitely_generated_consistent
 
 
-def test_oracle_agreement_extended():
+def test_oracle_agreement_extended(squarefree_classes):
     # beyond the acceptance scope: four variables, and characteristic three
-    for ideal, _ in canonical_squarefree_ideals(4):
+    for ideal, _ in squarefree_classes(4):
         for s in enumerate_strata(ideal, True):
             v = classify_stratum(ideal, 2, s)
             profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
             principal = v.generation is GenerationClass.PRINCIPAL
             assert principal == profile.finitely_generated_consistent
     for n in (2, 3):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in squarefree_classes(n):
             for s in enumerate_strata(ideal, True):
                 v = classify_stratum(ideal, 3, s)
                 profile = classify_up_to(substitute(ideal, s.inverted), 3, 3)
@@ -333,11 +333,11 @@ def _parts(d):
     return d.frobenius_part, d.j_part, d.beta
 
 
-def test_localize_matches_definitional_on_every_enumerated_stratum():
+def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_classes):
     reference = {}  # many strata share one substituted ideal
     for p, max_n in ((2, 5), (3, 4), (5, 4)):
         for n in range(1, max_n + 1):
-            for ideal, _ in canonical_squarefree_ideals(n):
+            for ideal, _ in squarefree_classes(n):
                 global_d = decompose(ideal, p)
                 for s in enumerate_strata(ideal, True):
                     sub = substitute(ideal, s.inverted)
@@ -377,7 +377,7 @@ def ideal_and_stratum(draw):
     for g in ideal.generators():  # grow Z until the stratum meets V(I)
         if not any(g[i] and z >> i & 1 for i in range(n)):
             z |= 1 << g.index(1)
-    return ideal, Stratum(n, frozenset(i + 1 for i in range(n) if z >> i & 1))
+    return ideal, Stratum(n, z)
 
 
 @given(ideal_and_stratum(), st.sampled_from([2, 3, 5]))
@@ -387,3 +387,64 @@ def test_localize_matches_definitional_random(case, p):
     fast = decompose(ideal, p).localize(stratum.inverted)
     reference = decompose(substitute(ideal, stratum.inverted), p)
     assert _parts(fast) == _parts(reference)
+
+
+# ---------------------------------------------------------------------------
+# the mask and rank-space fast paths against their frozenset and concrete
+# references
+
+
+def _certificate_agrees(global_d, stratum, sub):
+    fast = _has_complement_pattern(global_d, stratum, sub)
+    reference = _brute.complement_pattern_witness(global_d, stratum, sub)
+    assert fast == (reference is not None), (global_d.base, stratum, global_d.p)
+    return fast
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_complement_pattern_matches_reference_on_every_enumerated_stratum(
+    p, squarefree_classes
+):
+    outcomes = set()
+    for n in range(1, 6):
+        for ideal, _ in squarefree_classes(n):
+            report = build_locus(ideal, p)
+            d = report.decomposition
+            for v in report.verdicts:
+                outcomes.add(_certificate_agrees(d, v.stratum, v.localized.base))
+    assert outcomes == {True, False}
+
+
+@given(ideal_and_stratum(), st.sampled_from([2, 3, 5]))
+@settings(max_examples=80, deadline=None)
+def test_complement_pattern_matches_reference_random(case, p):
+    ideal, stratum = case
+    global_d = decompose(ideal, p)
+    _certificate_agrees(global_d, stratum, substitute(ideal, stratum.inverted))
+
+
+@st.composite
+def stratum_families(draw):
+    """A universe (all strata, or the strata meeting V(I)) for n <= 5, split
+    into members, undetermined strata and the rest."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        universe = all_strata(n)
+    else:
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
+        ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
+        universe = enumerate_strata(ideal, True)
+    size = len(universe)
+    roles = draw(st.lists(st.sampled_from("mur"), min_size=size, max_size=size))
+    return universe, *([s for s, r in zip(universe, roles) if r == k] for k in "mur")
+
+
+@given(stratum_families())
+@settings(max_examples=300, deadline=None)
+def test_openness_and_display_match_reference(case):
+    universe, members, undet, rest = case
+    got = is_open(members, universe, undet)
+    assert got.value == _brute.is_open(members, universe, undet)
+    for family in (members, rest, members + undet):
+        expected = _brute.render_expression(family, universe)
+        assert render_expression(family, universe) == expected

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import ResourceLimit
 from frobloc.monomials import MonomialIdeal, PrimePower
 from frobloc.oracle import classify_up_to, compute_f, compute_l
@@ -95,9 +94,9 @@ def _matches_compositions(ideal, p, max_e):
 
 
 @pytest.mark.parametrize("p,max_e", [(2, 4), (3, 3)])
-def test_l_matches_compositions_on_enumerated_ideals(p, max_e):
+def test_l_matches_compositions_on_enumerated_ideals(p, max_e, squarefree_classes):
     for n in range(1, 5):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in squarefree_classes(n):
             _matches_compositions(ideal, p, max_e)
 
 
@@ -166,17 +165,17 @@ def test_l_contained_in_f():
             assert l_e.is_subideal_of(f_e)
 
 
-def test_principal_consistency_sweep():
+def test_principal_consistency_sweep(squarefree_classes):
     for n in (1, 2, 3):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in squarefree_classes(n):
             if decompose(ideal, 2).j_part.is_zero():
                 profile = classify_up_to(ideal, 2, 3)
                 assert profile.needs_new == (True, False, False)
 
 
-def test_infinite_consistency_sweep():
+def test_infinite_consistency_sweep(squarefree_classes):
     for n in (1, 2, 3):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in squarefree_classes(n):
             if not decompose(ideal, 2).j_part.is_zero():
                 profile = classify_up_to(ideal, 2, 3)
                 assert profile.needs_new == (True, True, True)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import DegenerateIdeal, SquareFreeViolation
 from frobloc.monomials import MonomialIdeal, PrimePower
 from frobloc.symbolic import (
@@ -255,17 +254,17 @@ def test_j_generators_carry_q_and_qm1_and_a_zero():
             assert (0, 0) in entries
 
 
-def test_classification_independent_of_p():
+def test_classification_independent_of_p(squarefree_classes):
     for n in (1, 2, 3):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in squarefree_classes(n):
             classes = {decompose(ideal, p).generation_class for p in (2, 3, 5)}
             assert len(classes) == 1
 
 
-def test_e_stability_sweep_all_small_ideals():
+def test_e_stability_sweep_all_small_ideals(squarefree_classes):
     # beyond the named fixtures: every canonical square-free ideal, n <= 5
     for n in (1, 2, 3, 4, 5):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in squarefree_classes(n):
             for p in (2, 3, 5):
                 sym = colon_symbolic(ideal, p)
                 for e in (1, 2):
