@@ -1,9 +1,9 @@
-"""Integer-matrix kernels shared by all ideal arithmetic.
+"""Integer-matrix kernels behind all ideal arithmetic.
 
-Monomials are rows of int64 matrices (one column per exponent slot): the
-concrete exponents of ``monomials`` and the 0/1/2 ranks of ``symbolic``.
-The two operations that dominate every heavier computation in this package
-are
+Monomials are rows of int64 matrices, one column per variable; ``monomials``
+is the only caller (a symbolic ideal is the monomial ideal of its 0/1/2
+ranks, so it reaches these kernels through ``MonomialIdeal``).  The two
+operations that dominate every heavier computation in this package are
 
 * ``minimal_mask``  -- antichain reduction: flag rows not strictly dominated
   (componentwise >=) by another row, and
@@ -13,9 +13,9 @@ are
 Both are blocked numpy broadcasts.  ``perfbench/run.py --trace 1`` reports
 their call, row and pair-operation counts on the end-to-end workloads.
 
-All callers must pass matrices with pairwise-distinct rows to
-``minimal_mask`` (duplicate rows would mask each other); ``as_matrix`` plus
-``numpy.unique`` upstream guarantees this.
+``minimal_mask`` needs pairwise-distinct rows (duplicate rows would mask
+each other); ``monomials._minimal_rows`` deduplicates with ``numpy.unique``
+before every call.
 """
 
 from __future__ import annotations

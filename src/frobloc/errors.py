@@ -22,4 +22,5 @@ class InadmissibleStratum(FroblocError):
 
 
 class ResourceLimit(FroblocError):
-    """An intermediate generator set exceeded the configured bound."""
+    """A computation would exceed a size bound: the intermediate generator
+    budget or the number of strata."""

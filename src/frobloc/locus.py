@@ -23,8 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .errors import InadmissibleStratum
+from .errors import InadmissibleStratum, ResourceLimit
 from .monomials import MonomialIdeal, exponents_to_mask, format_monomial
 from .monomials import substitute  # noqa: F401  (re-exported: locus.substitute)
 from .symbolic import (
@@ -103,14 +102,32 @@ def is_admissible(ideal: MonomialIdeal, stratum: Stratum) -> bool:
     return all(g & stratum.mask for g in _support_masks(ideal))
 
 
+# the strata are enumerated one by one, 2^n of them; the scan alone takes
+# seconds at n = 22 and grows about 4x per two variables
+MAX_STRATA_VARS = 24
+
+
+def _check_strata_vars(n: int) -> None:
+    if n > MAX_STRATA_VARS:
+        raise ResourceLimit(
+            f"{n} variables give 2^{n} strata; at most {MAX_STRATA_VARS} "
+            "variables are supported"
+        )
+
+
 def all_strata(n: int) -> list[Stratum]:
+    _check_strata_vars(n)
     return [Stratum(n, m) for m in range(1 << n)]
 
 
 def enumerate_strata(
     ideal: MonomialIdeal, restrict_to_v_of_i: bool = True
 ) -> list[Stratum]:
-    """Strata of Spec, ordered by Z-mask; optionally only those meeting V(I)."""
+    """Strata of Spec, ordered by Z-mask; optionally only those meeting V(I).
+
+    Raises ResourceLimit beyond MAX_STRATA_VARS variables.
+    """
+    _check_strata_vars(ideal.n)
     support = _support_masks(ideal) if restrict_to_v_of_i else []
     return [
         Stratum(ideal.n, z)
@@ -176,9 +193,11 @@ def _has_complement_pattern(
     images[:, w] = 0
     z_ranks = images[:, z]
     pattern = np.all([(z_ranks == r).any(axis=1) for r in (0, 1, 2)], axis=0)
-    socle = np.array([global_d.beta], dtype=np.int64)
-    socle[:, w] = 0
-    covered = _kernels.divides_any(np.vstack([2 * sub.gens, socle]), images[pattern])
+    candidates = images[pattern]
+    socle = np.array(global_d.beta)
+    socle[w] = 0
+    covered = sub.frobenius_power(2).contains_each(candidates)
+    covered |= (candidates >= socle).all(axis=1)
     return not covered.all()
 
 

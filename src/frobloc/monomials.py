@@ -144,10 +144,6 @@ def _coerce_power(q: "int | PrimePower") -> PrimePower:
 # monomial-level helpers
 
 
-def unit_monomial(n: int) -> tuple[int, ...]:
-    return (0,) * n
-
-
 def divides(a: Exponents, b: Exponents) -> bool:
     """True iff a_i <= b_i for all i."""
     if len(a) != len(b):

@@ -12,11 +12,12 @@ principally generated exactly when J is zero, infinitely generated
 otherwise.
 
 A symbolic monomial is a row of ranks, one per variable: 0 for the exponent
-0, 1 for q-1 and 2 for q.  The chain 0 < q-1 < q is the same for every
-q >= 2, so uniform divisibility is componentwise <= on ranks and lcm is
-componentwise max; the antichain kernels apply unchanged.  The affine form
-a*q + b (``SymExp``) appears only at the boundary: construction, ``terms()``
-and rendering.
+0, 1 for q-1 and 2 for q.  The chain 0 < q-1 < q is order-isomorphic to
+0 < 1 < 2 for every q >= 2, so a symbolic ideal is the monomial ideal of its
+ranks, the instance at q = 2: uniform divisibility, lcm and minimalization
+are those of ``MonomialIdeal``, and the symbolic colon is the concrete colon
+at q = 2.  The affine form a*q + b (``SymExp``) appears only at the
+boundary: construction, ``terms()`` and rendering.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateIdeal, FroblocError, SquareFreeViolation
 from .monomials import MonomialIdeal, PrimePower, require_prime, substitute
 
@@ -69,15 +69,17 @@ _RANK_FORMS = (SymExp(0, 0), SymExp(1, -1), SymExp(1, 0))
 _FORM_RANK = {form: rank for rank, form in enumerate(_RANK_FORMS)}
 
 
+@dataclass(frozen=True, init=False)
 class SymbolicIdeal:
     """Antichain of symbolic monomials, uniform over all q >= 2.
 
-    Internally an (m, n) int64 matrix of ranks (0, 1, 2 for 0, q-1, q).
-    Uniform divisibility is componentwise <= on these rows, which keeps
-    minimalization exact for every q at once.
+    ``ranks`` is the ideal at q = 2: its exponents 0, 1, 2 are the ranks of
+    0, q-1, q.  The map 0 -> 0, 1 -> q-1, 2 -> q is strictly increasing for
+    every q >= 2, so divisibility, lcm and minimalization of the rank ideal
+    are those of every instance at once.
     """
 
-    __slots__ = ("n", "enc")
+    ranks: MonomialIdeal
 
     def __init__(self, terms: Iterable[Sequence[tuple[int, int]]], n: int):
         rows = []
@@ -91,76 +93,49 @@ class SymbolicIdeal:
                 raise ValueError(
                     f"symbolic exponent outside {{0, q-1, q}}: {term}"
                 ) from None
-        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-        self._install(_minimal_encoded(matrix), n)
-
-    def _install(self, enc: np.ndarray, n: int) -> None:
-        enc.setflags(write=False)
-        object.__setattr__(self, "enc", enc)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolicIdeal is immutable")
+        object.__setattr__(self, "ranks", MonomialIdeal(rows, n))
 
     @classmethod
-    def _from_canonical(cls, enc: np.ndarray, n: int) -> "SymbolicIdeal":
+    def _of(cls, ranks: MonomialIdeal) -> "SymbolicIdeal":
         ideal = cls.__new__(cls)
-        ideal._install(enc, n)
+        object.__setattr__(ideal, "ranks", ranks)
         return ideal
 
-    @classmethod
-    def from_encoded(cls, enc: np.ndarray, n: int) -> "SymbolicIdeal":
-        enc = np.asarray(enc, dtype=np.int64).reshape(-1, n)
-        return cls._from_canonical(_minimal_encoded(enc), n)
+    @property
+    def n(self) -> int:
+        return self.ranks.n
 
-    @classmethod
-    def zero(cls, n: int) -> "SymbolicIdeal":
-        return cls._from_canonical(np.empty((0, n), dtype=np.int64), n)
+    @property
+    def enc(self) -> np.ndarray:
+        """The read-only (m, n) rank matrix, rows in lexicographic order."""
+        return self.ranks.gens
 
     def is_zero(self) -> bool:
-        return self.enc.shape[0] == 0
+        return self.ranks.is_zero()
 
     def num_generators(self) -> int:
-        return self.enc.shape[0]
+        return self.ranks.num_generators()
 
     def terms(self) -> tuple[tuple[SymExp, ...], ...]:
-        return tuple(tuple(_RANK_FORMS[r] for r in row) for row in self.enc.tolist())
+        """The generators as affine exponents, in display order:
+        lexicographic by the support (the slope vector of a*q + b), then by
+        rank."""
+        rows = sorted(self.enc.tolist(), key=lambda row: ([r > 0 for r in row], row))
+        return tuple(tuple(_RANK_FORMS[r] for r in row) for row in rows)
 
     def instantiate(self, q: int) -> MonomialIdeal:
-        """Concrete ideal at the given q >= 2 (re-minimalized for safety)."""
+        """The concrete ideal at the given q >= 2."""
         if q < 2:
             raise ValueError(f"q={q} must be >= 2")
+        # 0 -> 0, 1 -> q-1, 2 -> q is strictly increasing, so the lex-sorted
+        # rank antichain maps onto a lex-sorted antichain: already canonical
         exps = np.array([0, q - 1, q], dtype=np.int64)[self.enc]
-        return MonomialIdeal.from_matrix(exps, self.n)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymbolicIdeal):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.enc, other.enc)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.enc.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"SymbolicIdeal({[list(t) for t in self.terms()]}, n={self.n})"
+        return MonomialIdeal._from_canonical(exps, self.n)
 
     def render(self) -> str:
         if self.is_zero():
             return "(0)"
         return "(" + ", ".join(format_symbolic_monomial(t) for t in self.terms()) + ")"
-
-
-def _minimal_encoded(ranks: np.ndarray) -> np.ndarray:
-    """Minimal rows of a rank matrix in the canonical generator order:
-    lexicographic by the support (the slope vector of a*q + b), then by
-    rank."""
-    if ranks.shape[0] == 0:
-        return ranks.astype(np.int64)
-    unique = np.unique(ranks, axis=0)
-    minimal = unique[_kernels.minimal_mask(unique)]
-    # np.lexsort sorts by its last key first
-    order = np.lexsort(np.hstack([minimal > 0, minimal]).T[::-1])
-    return np.ascontiguousarray(minimal[order])
 
 
 # ---------------------------------------------------------------------------
@@ -187,30 +162,18 @@ def compute_beta(ideal: MonomialIdeal) -> tuple[int, ...]:
 def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
     """(I^[q] : I) as one symbolic ideal valid for every q = p^e.
 
-    Intersection over generators g of (I^[q] : x^g); each single colon has
-    generators lcm(h^[q], x^g)/x^g with exponents in {0, q-1, q}, and
-    symbolic lcm/minimalization stay exact because that value set is totally
-    ordered uniformly in q.  p itself plays no arithmetic role.
+    It is the concrete colon at q = 2, read as ranks.  The colon is the
+    intersection over generators g of (I^[q] : x^g), generated by
+    max(q*h, g) - g over generators h: exponent q - g_i where h_i = 1 and 0
+    elsewhere, so every exponent lies in {0, q-1, q}.  The chain
+    0 < q-1 < q is order-isomorphic to 0 < 1 < 2 for every q >= 2, and lcm
+    and minimalization only compare exponents, so each step of the
+    computation at q = 2 is the rank image of the same step at any q.
+    p itself plays no arithmetic role.
     """
     validate_square_free(ideal)
     require_prime(p)
-    n = ideal.n
-    gens = ideal.gens
-
-    result: "SymbolicIdeal | None" = None
-    for g in gens:
-        # exponent q - g_i where h_i = 1 and 0 elsewhere: rank 2 - g_i or 0
-        single = SymbolicIdeal.from_encoded(2 * gens - (gens & g), n)
-        result = single if result is None else _sym_intersect(result, single)
-    assert result is not None
-    return result
-
-
-def _sym_intersect(a: SymbolicIdeal, b: SymbolicIdeal) -> SymbolicIdeal:
-    if a.is_zero() or b.is_zero():
-        return SymbolicIdeal.zero(a.n)
-    lcms = np.maximum(a.enc[:, None, :], b.enc[None, :, :]).reshape(-1, a.n)
-    return SymbolicIdeal.from_encoded(lcms, a.n)
+    return SymbolicIdeal._of(ideal.frobenius_power(2).colon(ideal))
 
 
 class GenerationClass(enum.Enum):
@@ -251,15 +214,13 @@ class ColonDecomposition:
     def localize(self, inverted: Iterable[int]) -> "ColonDecomposition":
         """The decomposition of substitute(base, W), W = ``inverted``.
 
-        Localization commutes with the colon: setting the W variables to 1
-        in (I^[q]:I) and re-minimalizing gives (phi_W(I)^[q] : phi_W(I)),
-        so no colon is recomputed.  W must leave the base a proper ideal.
+        Localization commutes with the colon: substituting W in the rank
+        ideal of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)), so no
+        colon is recomputed.  W must leave the base a proper ideal.
         """
-        w = sorted(set(inverted))
-        sub = substitute(self.base, w)
-        enc = self.colon.enc.copy()
-        enc[:, [i - 1 for i in w]] = 0
-        return _partition(sub, self.p, SymbolicIdeal.from_encoded(enc, sub.n))
+        sub = substitute(self.base, inverted)
+        colon = SymbolicIdeal._of(substitute(self.colon.ranks, inverted))
+        return _partition(sub, self.p, colon)
 
     @property
     def socle_exponents(self) -> tuple[SymExp, ...]:
@@ -309,24 +270,23 @@ def _partition(
     validate_square_free(ideal)
     n = ideal.n
     beta = compute_beta(ideal)
+    rows = sym.enc
 
-    # the Frobenius part is divisible by some q*gamma_i (ranks 2*gamma_i),
-    # the socle part by (x^beta)^(q-1) (ranks beta)
-    in_frob = _kernels.divides_any(2 * ideal.gens, sym.enc)
-    socle_enc = np.array([beta], dtype=np.int64)
-    in_socle = _kernels.divides_any(socle_enc, sym.enc) & ~in_frob
+    # the Frobenius part lies in I^[q] (ranks: I^[2]), the socle part is
+    # divisible by (x^beta)^(q-1) (ranks beta)
+    in_frob = ideal.frobenius_power(2).contains_each(rows)
+    in_socle = (rows >= np.array(beta)).all(axis=1) & ~in_frob
     in_j = ~in_frob & ~in_socle
 
-    frob_part = SymbolicIdeal._from_canonical(
-        np.ascontiguousarray(sym.enc[in_frob]), n
-    )
-    j_part = SymbolicIdeal._from_canonical(np.ascontiguousarray(sym.enc[in_j]), n)
+    # a subset of a canonical antichain is canonical
+    frob_part = SymbolicIdeal._of(MonomialIdeal._from_canonical(rows[in_frob], n))
+    j = rows[in_j]
+    j_part = SymbolicIdeal._of(MonomialIdeal._from_canonical(j, n))
 
     # residual generators always carry a q and a q-1 exponent simultaneously
-    j = j_part.enc
     pattern = (j == 1).any(axis=1) & (j == 2).any(axis=1)
     if not pattern.all():
-        term = j_part.terms()[int(np.argmin(pattern))]
+        term = tuple(_RANK_FORMS[r] for r in j[int(np.argmin(pattern))].tolist())
         raise FroblocError(f"residual generator without q/q-1 pattern: {term}")
 
     return ColonDecomposition(ideal, p, frob_part, j_part, beta, sym)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -256,6 +257,34 @@ class TestExitCodes:
         monkeypatch.setenv("FROBLOC_MAX_GENS", "2")
         code = main(["oracle", "x1*x2, x2*x3, x3*x4", "--p", "3", "--max-e", "3"])
         assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("command", ["decompose", "locus"])
+    def test_symbolic_colon_counts_against_the_budget(
+        self, capsys, monkeypatch, command
+    ):
+        # its single colons have three rows each: 9 lcms per intersection
+        monkeypatch.setenv("FROBLOC_MAX_GENS", "2")
+        assert main([command, "x1*x2, x2*x3, x3*x4", "--p", "2"]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["locus", "x1*x40", "--p", "2"],
+            ["locus", "x1*x40", "--p", "2", "--ambient", "full"],
+            ["uprime", "x1*x40", "--p", "2"],
+        ],
+    )
+    def test_too_many_strata_is_a_resource_limit(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
     def test_overflowing_frobenius_power_is_a_resource_limit(self, capsys):
         code = main(["colon", "x1*x2, x2*x3", "--p", "2", "--e", "70"])

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from frobloc.errors import InadmissibleStratum
+from frobloc.errors import InadmissibleStratum, ResourceLimit
 from frobloc.locus import (
+    MAX_STRATA_VARS,
     Certificate,
     Openness,
     Stratum,
@@ -72,6 +73,15 @@ class TestStrata:
     def test_admissibility(self, chain4):
         assert is_admissible(chain4, Z(4, 3))
         assert not is_admissible(chain4, Z(4, 1, 2))
+
+    @pytest.mark.parametrize("restrict", [True, False])
+    def test_too_many_variables_raise(self, restrict):
+        n = MAX_STRATA_VARS + 1
+        ideal = MonomialIdeal([(1,) + (0,) * (n - 1)])
+        with pytest.raises(ResourceLimit):
+            enumerate_strata(ideal, restrict)
+        with pytest.raises(ResourceLimit):
+            all_strata(n)
 
 
 class TestClassifyStratum:
