@@ -309,18 +309,31 @@ def _cmd_locus(args) -> int:
 
 
 def _disagreements(
-    verdicts, p: int, max_e: int, profiles: dict[MonomialIdeal, GenerationProfile]
+    verdicts,
+    p: int,
+    max_e: int,
+    profiles: "dict[int | MonomialIdeal, GenerationProfile]",
 ):
-    """Yield (verdict, oracle profile) for each verdict the oracle contradicts;
-    ``profiles`` memoizes the oracle by localized base, which strata share.
-    The principal verdict does not depend on --strict."""
+    """Yield (verdict, oracle profile) for each verdict the oracle contradicts.
+
+    ``profiles`` memoizes the oracle by the symmetry class of the localized
+    base (by the base itself when its support is too large for a class key):
+    the profile does not change under relabelling the variables or dropping
+    unused ones, and strata share their localized bases up to both.  The
+    principal verdict does not depend on --strict."""
+    # imported on use: commands without --check never load the enumeration
+    from .enumeration import symmetry_class
+
     for verdict in verdicts:
         base = verdict.localized.base
-        if base not in profiles:
-            profiles[base] = classify_up_to(base, p, max_e)
+        key = symmetry_class(base)
+        if key is None:
+            key = base
+        if key not in profiles:
+            profiles[key] = classify_up_to(base, p, max_e)
         principal = verdict.generation is GenerationClass.PRINCIPAL
-        if principal != profiles[base].finitely_generated_consistent:
-            yield verdict, profiles[base]
+        if principal != profiles[key].finitely_generated_consistent:
+            yield verdict, profiles[key]
 
 
 def _cmd_oracle(args) -> int:
@@ -364,7 +377,7 @@ def _cmd_enumerate(args) -> int:
     total_orbit = 0
     checked = disagreements = 0
     # strata of different classes often localize to the same base ideal
-    profiles: dict[MonomialIdeal, GenerationProfile] = {}
+    profiles: "dict[int | MonomialIdeal, GenerationProfile]" = {}
     for ideal, orbit in reps:
         report = build_locus(ideal, args.p, strict=args.strict)
         d = report.decomposition

@@ -229,6 +229,11 @@ class MonomialIdeal:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("MonomialIdeal is immutable")
 
+    def __reduce__(self):
+        # the default slot restore would trip the guard above; rebuilding
+        # through the constructor also re-validates the unpickled rows
+        return (MonomialIdeal, (self.gens.tolist(), self.n))
+
     @classmethod
     def _from_canonical(cls, gens: np.ndarray, n: int) -> "MonomialIdeal":
         ideal = cls.__new__(cls)

@@ -5,7 +5,7 @@ numpy, no shared kernels) so the checks stay independent of the code paths
 they validate.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 
 def divides(a, b):
@@ -173,3 +173,56 @@ def render_expression(members, universe):
             pieces.append(v(z) if z.in_prime else d or "Spec")
         consumed.add(z)
     return " ∪ ".join(pieces)
+
+
+# ---------------------------------------------------------------------------
+# enumeration by definition: every antichain, every permutation
+
+
+def antichains(n):
+    """All nonempty antichains of nonempty subsets of {1..n}, as mask tuples."""
+    masks = list(range(1, 1 << n))
+    out = []
+
+    def comparable(a, b):
+        meet = a & b
+        return meet == a or meet == b
+
+    def rec(start, chosen):
+        if chosen:
+            out.append(tuple(chosen))
+        for k in range(start, len(masks)):
+            m = masks[k]
+            if all(not comparable(m, c) for c in chosen):
+                chosen.append(m)
+                rec(k + 1, chosen)
+                chosen.pop()
+
+    rec(0, [])
+    return out
+
+
+def permute_mask(mask, perm):
+    out = 0
+    for i, target in enumerate(perm):
+        if (mask >> i) & 1:
+            out |= 1 << target
+    return out
+
+
+def canonical_key(masks, n):
+    """Lex-least permuted image of the generator masks, plus the orbit size."""
+    images = set()
+    for perm in permutations(range(n)):
+        images.add(tuple(sorted(permute_mask(m, perm) for m in masks)))
+    return min(images), len(images)
+
+
+def canonical_classes(n):
+    """(key, orbit size) per symmetry class of antichains, ordered by
+    (generator count, key): the n!-permutation scan of every antichain."""
+    seen = {}
+    for chain in antichains(n):
+        key, orbit = canonical_key(chain, n)
+        seen.setdefault(key, orbit)
+    return sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[0]))

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import _brute
 from frobloc import cli
 from frobloc.cli import (
     EXIT_DISAGREEMENT,
@@ -20,6 +21,19 @@ from frobloc.errors import AmbientMismatch, InadmissibleStratum
 from frobloc.locus import build_locus
 from frobloc.oracle import GenerationProfile
 from frobloc.symbolic import GenerationClass
+
+
+def _support(ideal):
+    return sum(any(g[i] for g in ideal.generators()) for i in range(ideal.n))
+
+
+def _brute_class(ideal):
+    """The permutation-scan key of a square-free ideal on its support."""
+    used = [i for i in range(ideal.n) if any(g[i] for g in ideal.generators())]
+    masks = [
+        sum(1 << k for k, i in enumerate(used) if g[i]) for g in ideal.generators()
+    ]
+    return len(used), _brute.canonical_key(masks, len(used))[0]
 
 
 class TestParseIdeal:
@@ -182,8 +196,35 @@ class TestCommands:
         path8 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 8))
         assert main(["locus", path8, "--p", "2", "--check"]) == EXIT_OK
         assert "Z={" in capsys.readouterr().out
-        # 55 strata, 32 distinct localized bases
-        assert len(bases) == len(set(bases)) == 32
+        # 55 strata and 32 distinct localized bases; one oracle run per
+        # class up to relabelling and unused variables, and per base for
+        # the bases on more than six variables, which have no class key
+        report = build_locus(parse_ideal(path8).to_ideal(), 2)
+        local = {v.localized.base for v in report.verdicts}
+        assert len(report.verdicts) == 55 and len(local) == 32
+
+        def key(base):
+            return _brute_class(base) if _support(base) <= 6 else base
+
+        assert len(bases) == len({key(b) for b in bases}) == 13
+        assert {key(b) for b in local} == {key(b) for b in bases}
+
+    def test_enumerate_check_runs_the_oracle_once_per_class(self, capsys, monkeypatch):
+        bases = []
+        oracle = cli.classify_up_to
+
+        def counting(ideal, p, max_e):
+            bases.append(ideal)
+            return oracle(ideal, p, max_e)
+
+        monkeypatch.setattr(cli, "classify_up_to", counting)
+        argv = ["enumerate", "--vars", "4", "--p", "2", "--check", "--json"]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["disagreements"] == 0 and payload["checked_strata"] > 28
+        # each of the 28 classes on four variables is the base of its own
+        # full stratum, and every localized base is in one of them
+        assert len(bases) == len({_brute_class(b) for b in bases}) == 28
 
     def test_locus_full_ambient(self, capsys):
         assert main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--ambient", "full"]) == 0
@@ -246,6 +287,14 @@ class TestExitCodes:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["disagreements"] == principal > 1
+
+    def test_enumerate_too_many_variables(self, capsys):
+        start = time.perf_counter()
+        assert main(["enumerate", "--vars", "7", "--p", "2"]) == EXIT_INVALID
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unit_ideal_rejected(self, capsys):
         # x0 is a parse error; the unit ideal arrives via minimalization

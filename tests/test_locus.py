@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import pytest
@@ -458,3 +459,11 @@ def test_openness_and_display_match_reference(case):
     for family in (members, rest, members + undet):
         expected = _brute.render_expression(family, universe)
         assert render_expression(family, universe) == expected
+
+
+def test_pickle_round_trip(chain4):
+    report = build_locus(chain4, 2, ambient="full")
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report
+    assert copy.expression_u == report.expression_u
+    assert copy.verdicts[0].localized.base == report.verdicts[0].localized.base

@@ -1,3 +1,4 @@
+import pickle
 import time
 
 import pytest
@@ -359,3 +360,20 @@ def test_colon_membership_equivalence(data):
             for g in i.generators()
         )
         assert (m in q) == definition
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        MonomialIdeal([(1,)], 1),
+        MonomialIdeal([(1, 1, 0), (0, 2, 1)]),
+        MonomialIdeal.zero(3),
+        MonomialIdeal.unit(2),
+    ],
+)
+def test_pickle_round_trip(ideal):
+    copy = pickle.loads(pickle.dumps(ideal))
+    assert copy == ideal and hash(copy) == hash(ideal) and copy.n == ideal.n
+    assert not copy.gens.flags.writeable
+    with pytest.raises(AttributeError):
+        copy.n = 4

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,3 +309,12 @@ def test_j_part_disjoint_from_other_groups():
         for term in d.j_part.terms():
             mono = tuple(exp.at(4) for exp in term)
             assert mono not in frob + socle
+
+
+def test_pickle_round_trip(chain3):
+    sym = SymbolicIdeal([[Z, QM1, Q], [Q, Z, Z]], 3)
+    assert pickle.loads(pickle.dumps(sym)) == sym
+    d = decompose(chain3, 3)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and hash(copy) == hash(d)
+    assert copy.instantiate(2) == d.instantiate(2)
