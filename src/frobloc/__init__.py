@@ -10,23 +10,12 @@ from .errors import (
     ResourceLimit,
     SquareFreeViolation,
 )
-from .monomials import (
-    MonomialIdeal,
-    PrimePower,
-    colon,
-    divides,
-    frobenius_power,
-    lcm,
-    minimalize,
-    mono_mul,
-    substitute,
-)
+from .monomials import MonomialIdeal, PrimePower, substitute
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
     SymbolicIdeal,
     SymExp,
-    classify_global,
     colon_symbolic,
     compute_beta,
     compute_u_prime,
@@ -70,23 +59,16 @@ __all__ = [
     "SymExp",
     "SymbolicIdeal",
     "build_locus",
-    "classify_global",
     "classify_stratum",
     "classify_up_to",
-    "colon",
     "colon_symbolic",
     "compute_beta",
     "compute_f",
     "compute_l",
     "compute_u_prime",
     "decompose",
-    "divides",
     "enumerate_strata",
-    "frobenius_power",
     "is_open",
-    "lcm",
-    "minimalize",
-    "mono_mul",
     "render_expression",
     "substitute",
     "validate_square_free",

@@ -31,7 +31,7 @@ from .monomials import (
     generator_budget,
     require_prime,
 )
-from .oracle import GenerationProfile, classify_up_to
+from .oracle import classify_up_to
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
@@ -298,10 +298,10 @@ def _cmd_locus(args) -> int:
     }
     _emit(args, payload, _locus_text(report))
     if args.check:
-        for v, profile in _disagreements(report.verdicts, args.p, args.max_e, {}):
+        for v, needs_new in _disagreements(report.verdicts, args.p, args.max_e, {}):
             print(
                 f"disagreement on {v.stratum.render()}: classifier says "
-                f"{v.generation.label}, oracle profile {profile.needs_new}",
+                f"{v.generation.label}, oracle profile {needs_new}",
                 file=sys.stderr,
             )
             return EXIT_DISAGREEMENT
@@ -312,28 +312,32 @@ def _disagreements(
     verdicts,
     p: int,
     max_e: int,
-    profiles: "dict[int | MonomialIdeal, GenerationProfile]",
+    memo: "dict[int | MonomialIdeal, tuple[bool, tuple[bool, ...]]]",
 ):
-    """Yield (verdict, oracle profile) for each verdict the oracle contradicts.
+    """Yield (verdict, oracle needs_new flags) for each verdict the oracle
+    contradicts.
 
-    ``profiles`` memoizes the oracle by the symmetry class of the localized
-    base (by the base itself when its support is too large for a class key):
-    the profile does not change under relabelling the variables or dropping
-    unused ones, and strata share their localized bases up to both.  The
-    principal verdict does not depend on --strict."""
+    ``memo`` maps the symmetry class of each substituted ideal (the ideal
+    itself when its support is too large for a class key) to the oracle's
+    (finitely_generated_consistent, needs_new), never to a whole profile
+    with its F_e and L_e ideals.  The oracle's answer does not change under
+    relabelling the variables or dropping unused ones, and strata share
+    their substituted ideals up to both.  The principal verdict does not
+    depend on --strict."""
     # imported on use: commands without --check never load the enumeration
     from .enumeration import symmetry_class
 
     for verdict in verdicts:
-        base = verdict.localized.base
+        base = verdict.substituted
         key = symmetry_class(base)
         if key is None:
             key = base
-        if key not in profiles:
-            profiles[key] = classify_up_to(base, p, max_e)
-        principal = verdict.generation is GenerationClass.PRINCIPAL
-        if principal != profiles[key].finitely_generated_consistent:
-            yield verdict, profiles[key]
+        if key not in memo:
+            profile = classify_up_to(base, p, max_e)
+            memo[key] = profile.finitely_generated_consistent, profile.needs_new
+        consistent, needs_new = memo[key]
+        if (verdict.generation is GenerationClass.PRINCIPAL) != consistent:
+            yield verdict, needs_new
 
 
 def _cmd_oracle(args) -> int:
@@ -377,7 +381,7 @@ def _cmd_enumerate(args) -> int:
     total_orbit = 0
     checked = disagreements = 0
     # strata of different classes often localize to the same base ideal
-    profiles: "dict[int | MonomialIdeal, GenerationProfile]" = {}
+    memo: "dict[int | MonomialIdeal, tuple[bool, tuple[bool, ...]]]" = {}
     for ideal, orbit in reps:
         report = build_locus(ideal, args.p, strict=args.strict)
         d = report.decomposition
@@ -387,7 +391,7 @@ def _cmd_enumerate(args) -> int:
         if args.check:
             checked += len(report.verdicts)
             disagreements += sum(
-                1 for _ in _disagreements(report.verdicts, args.p, args.max_e, profiles)
+                1 for _ in _disagreements(report.verdicts, args.p, args.max_e, memo)
             )
         rows.append(
             {

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .monomials import MonomialIdeal, exponents_to_mask, mask_to_exponents  # noqa: F401
+from .monomials import MonomialIdeal, mask_to_exponents
 
 # the truth table of an up-set on n variables has 2^n bits, one uint64 word;
 # the census has 16351 classes at n = 6 (OEIS A003182 minus the constants)
@@ -35,7 +35,11 @@ MAX_ENUMERATION_VARS = 6
 
 
 def ideal_from_masks(masks, n: int) -> MonomialIdeal:
-    return MonomialIdeal([mask_to_exponents(m, n) for m in masks], n)
+    """The ideal generated by x^m over an antichain of distinct nonzero
+    masks: its 0/1 rows, sorted, are already the canonical generators."""
+    rows = sorted(mask_to_exponents(m, n) for m in masks)
+    gens = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    return MonomialIdeal._from_canonical(gens, n)
 
 
 def _positions(n: int, var: int, value: int) -> int:

@@ -8,7 +8,9 @@ localized algebra is that of the substituted ideal phi_W(I), and the
 principal/infinite dichotomy is constant on each stratum.  The locus U of
 primes with finitely generated algebra is therefore a union of strata, and
 its openness is a purely combinatorial question: a union of strata is
-closed iff its index family is upward-closed under Z-inclusion.
+closed iff its index family is upward-closed under Z-inclusion.  Each
+stratum is decided from the localization of the ideal's one global
+decomposition; its verdict keeps only phi_W(I) (``substituted``).
 
 A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
 it.  Z-inclusion a <= b is then ``a & ~b == 0``, and a stratum meets V(I)
@@ -25,7 +27,6 @@ import numpy as np
 
 from .errors import InadmissibleStratum, ResourceLimit
 from .monomials import MonomialIdeal, exponents_to_mask, format_monomial
-from .monomials import substitute  # noqa: F401  (re-exported: locus.substitute)
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
@@ -94,7 +95,7 @@ class StratumVerdict:
     stratum: Stratum
     generation: GenerationClass
     certificate: Certificate
-    localized: ColonDecomposition
+    substituted: MonomialIdeal  # phi_W(I), the ideal's image on the stratum
 
 
 def is_admissible(ideal: MonomialIdeal, stratum: Stratum) -> bool:
@@ -120,15 +121,14 @@ def all_strata(n: int) -> list[Stratum]:
     return [Stratum(n, m) for m in range(1 << n)]
 
 
-def enumerate_strata(
-    ideal: MonomialIdeal, restrict_to_v_of_i: bool = True
-) -> list[Stratum]:
-    """Strata of Spec, ordered by Z-mask; optionally only those meeting V(I).
+def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
+    """The strata meeting V(I), ordered by Z-mask; ``all_strata(n)`` gives
+    every stratum.
 
     Raises ResourceLimit beyond MAX_STRATA_VARS variables.
     """
     _check_strata_vars(ideal.n)
-    support = _support_masks(ideal) if restrict_to_v_of_i else []
+    support = _support_masks(ideal)
     return [
         Stratum(ideal.n, z)
         for z in range(1 << ideal.n)
@@ -163,17 +163,14 @@ def _classify(
     decomposition of the ideal."""
     local = global_d.localize(stratum.inverted)
     if local.j_part.is_zero():
-        return StratumVerdict(stratum, GenerationClass.PRINCIPAL, Certificate.DIRECT, local)
-
-    if _has_complement_pattern(global_d, stratum, local.base):
-        return StratumVerdict(
-            stratum, GenerationClass.INFINITE, Certificate.COMPLEMENT, local
-        )
-    if strict:
-        return StratumVerdict(
-            stratum, GenerationClass.UNDETERMINED, Certificate.NONE, local
-        )
-    return StratumVerdict(stratum, GenerationClass.INFINITE, Certificate.TRANSFER, local)
+        outcome = GenerationClass.PRINCIPAL, Certificate.DIRECT
+    elif _has_complement_pattern(global_d, stratum, local.base):
+        outcome = GenerationClass.INFINITE, Certificate.COMPLEMENT
+    elif strict:
+        outcome = GenerationClass.UNDETERMINED, Certificate.NONE
+    else:
+        outcome = GenerationClass.INFINITE, Certificate.TRANSFER
+    return StratumVerdict(stratum, *outcome, local.base)
 
 
 def _has_complement_pattern(
@@ -301,7 +298,7 @@ class LocusReport:
     expression_u: str
     expression_complement: str
     notes: tuple[str, ...]
-    decomposition: ColonDecomposition  # of the ideal itself, shared by all strata
+    decomposition: ColonDecomposition  # of the ideal itself, localized per stratum
 
 
 # Published locus displays known to disagree with the derived stratum table.
@@ -327,7 +324,7 @@ def build_locus(
     if ambient not in ("vi", "full"):
         raise ValueError(f"ambient must be 'vi' or 'full', got {ambient!r}")
     global_d = decompose(ideal, p)
-    admissible = enumerate_strata(ideal, restrict_to_v_of_i=True)
+    admissible = enumerate_strata(ideal)
     verdicts = tuple(_classify(global_d, s, strict) for s in admissible)
 
     u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
@@ -389,7 +386,7 @@ def u_prime_strata(
     support = _support_masks(annihilator)
     return tuple(
         s
-        for s in enumerate_strata(ideal, restrict_to_v_of_i=True)
+        for s in enumerate_strata(ideal)
         if any(a & s.mask == 0 for a in support)
     )
 

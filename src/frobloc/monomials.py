@@ -144,27 +144,6 @@ def _coerce_power(q: "int | PrimePower") -> PrimePower:
 # monomial-level helpers
 
 
-def divides(a: Exponents, b: Exponents) -> bool:
-    """True iff a_i <= b_i for all i."""
-    if len(a) != len(b):
-        raise AmbientMismatch(f"monomials in {len(a)} and {len(b)} variables")
-    return all(x <= y for x, y in zip(a, b))
-
-
-def lcm(a: Exponents, b: Exponents) -> tuple[int, ...]:
-    """Componentwise max."""
-    if len(a) != len(b):
-        raise AmbientMismatch(f"monomials in {len(a)} and {len(b)} variables")
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_mul(a: Exponents, b: Exponents) -> tuple[int, ...]:
-    """Componentwise sum."""
-    if len(a) != len(b):
-        raise AmbientMismatch(f"monomials in {len(a)} and {len(b)} variables")
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mask_to_exponents(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
@@ -174,16 +153,14 @@ def exponents_to_mask(exps: Exponents) -> int:
     return sum(1 << i for i, c in enumerate(exps) if c > 0)
 
 
-def format_monomial(exps: Exponents, power_suffix: str = "") -> str:
+def format_monomial(exps: Exponents) -> str:
     """Render an exponent vector as x1^2*x3; the unit monomial is "1"."""
     parts = []
     for i, c in enumerate(exps, start=1):
         if c == 0:
             continue
         parts.append(f"x{i}" if c == 1 else f"x{i}^{c}")
-    if not parts:
-        return "1"
-    return "*".join(parts) + power_suffix
+    return "*".join(parts) or "1"
 
 
 def as_matrix(mons: Iterable[Exponents], n: "int | None" = None) -> np.ndarray:
@@ -335,9 +312,6 @@ class MonomialIdeal:
         lcms = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, self.n)
         return MonomialIdeal.from_matrix(lcms, self.n)
 
-    def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return self & other
-
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other) = {m | m*g in self for every generator g of other}.
 
@@ -358,6 +332,8 @@ class MonomialIdeal:
     def frobenius_power(self, q: "int | PrimePower") -> "MonomialIdeal":
         """Generated by the q-th powers of the generators, q = p^e."""
         power = _coerce_power(q)
+        if power.e >= 62:  # q >= 2^e; refuse before computing p^e
+            raise OverflowError(f"q = {power.p}^{power.e} exceeds the int64 guard")
         qv = power.q
         if self.gens.size and int(self.gens.max()) * qv >= _MAX_EXPONENT:
             raise OverflowError(f"exponent * {qv} exceeds the int64 guard")
@@ -387,15 +363,3 @@ def substitute(ideal: MonomialIdeal, inverted: Iterable[int]) -> MonomialIdeal:
     gens[:, [i - 1 for i in w]] = 0
     return MonomialIdeal.from_matrix(gens, ideal.n)
 
-
-def minimalize(gens: Iterable[Exponents], n: "int | None" = None) -> MonomialIdeal:
-    """Drop redundant generators; {} yields the zero ideal (needs explicit n)."""
-    return MonomialIdeal(gens, n)
-
-
-def frobenius_power(ideal: MonomialIdeal, q: "int | PrimePower") -> MonomialIdeal:
-    return ideal.frobenius_power(q)
-
-
-def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
-    return j.colon(i)

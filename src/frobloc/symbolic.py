@@ -17,7 +17,8 @@ A symbolic monomial is a row of ranks, one per variable: 0 for the exponent
 ranks, the instance at q = 2: uniform divisibility, lcm and minimalization
 are those of ``MonomialIdeal``, and the symbolic colon is the concrete colon
 at q = 2.  The affine form a*q + b (``SymExp``) appears only at the
-boundary: construction, ``terms()`` and rendering.
+boundary, in construction and ``terms()``; ``render()`` prints each rank
+through a fixed suffix: none, ``^(q-1)`` or ``^q``.
 """
 
 from __future__ import annotations
@@ -42,31 +43,10 @@ class SymExp(NamedTuple):
         return self.a * q + self.b
 
 
-def _format_symexp(a: int, b: int) -> str:
-    if a == 0:
-        return str(b)
-    head = "q" if a == 1 else f"{a}q"
-    return head if b == 0 else f"{head}{b:+d}"
-
-
-def format_symbolic_monomial(terms: Sequence[SymExp]) -> str:
-    parts = []
-    for i, (a, b) in enumerate(terms, start=1):
-        if a == 0 and b == 0:
-            continue
-        if a == 0 and b == 1:
-            parts.append(f"x{i}")
-            continue
-        text = _format_symexp(a, b)
-        if text != "q" and not text.isdigit():
-            text = f"({text})"
-        parts.append(f"x{i}^{text}")
-    return "*".join(parts) if parts else "1"
-
-
-# the exponent of each rank, as an affine form a*q + b
+# the exponent of each rank, as an affine form a*q + b and as printed
 _RANK_FORMS = (SymExp(0, 0), SymExp(1, -1), SymExp(1, 0))
 _FORM_RANK = {form: rank for rank, form in enumerate(_RANK_FORMS)}
+_RANK_SUFFIX = ("", "^(q-1)", "^q")
 
 
 @dataclass(frozen=True, init=False)
@@ -116,12 +96,14 @@ class SymbolicIdeal:
     def num_generators(self) -> int:
         return self.ranks.num_generators()
 
+    def _display_rows(self) -> list[list[int]]:
+        """The rank rows in display order: lexicographic by the support (the
+        slope vector of a*q + b), then by rank."""
+        return sorted(self.enc.tolist(), key=lambda row: ([r > 0 for r in row], row))
+
     def terms(self) -> tuple[tuple[SymExp, ...], ...]:
-        """The generators as affine exponents, in display order:
-        lexicographic by the support (the slope vector of a*q + b), then by
-        rank."""
-        rows = sorted(self.enc.tolist(), key=lambda row: ([r > 0 for r in row], row))
-        return tuple(tuple(_RANK_FORMS[r] for r in row) for row in rows)
+        """The generators as affine exponents, in display order."""
+        return tuple(tuple(_RANK_FORMS[r] for r in row) for row in self._display_rows())
 
     def instantiate(self, q: int) -> MonomialIdeal:
         """The concrete ideal at the given q >= 2."""
@@ -135,7 +117,12 @@ class SymbolicIdeal:
     def render(self) -> str:
         if self.is_zero():
             return "(0)"
-        return "(" + ", ".join(format_symbolic_monomial(t) for t in self.terms()) + ")"
+        monomials = (
+            "*".join(f"x{i}{_RANK_SUFFIX[r]}" for i, r in enumerate(row, 1) if r)
+            or "1"
+            for row in self._display_rows()
+        )
+        return "(" + ", ".join(monomials) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +209,6 @@ class ColonDecomposition:
         colon = SymbolicIdeal._of(substitute(self.colon.ranks, inverted))
         return _partition(sub, self.p, colon)
 
-    @property
-    def socle_exponents(self) -> tuple[SymExp, ...]:
-        """(x^beta)^(q-1) as symbolic exponents."""
-        return tuple(SymExp(b, -b) for b in self.beta)
-
     def instantiate(self, e: int) -> DecompositionParts:
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
@@ -290,11 +272,6 @@ def _partition(
         raise FroblocError(f"residual generator without q/q-1 pattern: {term}")
 
     return ColonDecomposition(ideal, p, frob_part, j_part, beta, sym)
-
-
-def classify_global(decomposition: ColonDecomposition) -> GenerationClass:
-    """Principal iff the residual J part is zero."""
-    return decomposition.generation_class
 
 
 def compute_u_prime(decomposition: ColonDecomposition) -> MonomialIdeal:

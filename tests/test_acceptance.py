@@ -16,10 +16,9 @@ from frobloc.locus import (
     classify_stratum,
     enumerate_strata,
     render_u_prime,
-    substitute,
     u_prime_strata,
 )
-from frobloc.monomials import MonomialIdeal, PrimePower
+from frobloc.monomials import MonomialIdeal, PrimePower, substitute
 from frobloc.oracle import classify_up_to
 from frobloc.symbolic import (
     GenerationClass,
@@ -129,7 +128,7 @@ def test_criterion_4_oracle_equivalence():
         disagreements = []
         for n in (1, 2, 3):
             for ideal, _ in canonical_squarefree_ideals(n):
-                for stratum in enumerate_strata(ideal, restrict_to_v_of_i=True):
+                for stratum in enumerate_strata(ideal):
                     verdict = classify_stratum(ideal, 2, stratum)
                     profile = classify_up_to(
                         substitute(ideal, stratum.inverted), 2, 3

@@ -196,11 +196,11 @@ class TestCommands:
         path8 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 8))
         assert main(["locus", path8, "--p", "2", "--check"]) == EXIT_OK
         assert "Z={" in capsys.readouterr().out
-        # 55 strata and 32 distinct localized bases; one oracle run per
+        # 55 strata and 32 distinct substituted ideals; one oracle run per
         # class up to relabelling and unused variables, and per base for
         # the bases on more than six variables, which have no class key
         report = build_locus(parse_ideal(path8).to_ideal(), 2)
-        local = {v.localized.base for v in report.verdicts}
+        local = {v.substituted for v in report.verdicts}
         assert len(report.verdicts) == 55 and len(local) == 32
 
         def key(base):
@@ -208,6 +208,18 @@ class TestCommands:
 
         assert len(bases) == len({key(b) for b in bases}) == 13
         assert {key(b) for b in local} == {key(b) for b in bases}
+
+    def test_check_memo_keeps_no_oracle_profile(self):
+        # only the verdict and the needs_new flags outlive each oracle run,
+        # not the F_e and L_e ideals of its profile
+        memo = {}
+        report = build_locus(parse_ideal("x1*x2, x2*x3, x3*x4").to_ideal(), 2)
+        assert list(cli._disagreements(report.verdicts, 2, 3, memo)) == []
+        assert memo
+        for value in memo.values():
+            assert not isinstance(value, GenerationProfile)
+            consistent, needs_new = value
+            assert isinstance(consistent, bool) and len(needs_new) == 3
 
     def test_enumerate_check_runs_the_oracle_once_per_class(self, capsys, monkeypatch):
         bases = []
@@ -334,6 +346,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("e", [62, 10**6, 10**9])
+    def test_huge_e_is_a_fast_resource_limit(self, capsys, e):
+        start = time.perf_counter()
+        assert main(["colon", "x1", "--p", "3", "--e", str(e)]) == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: q = 3^{e} exceeds the int64 guard\n"
 
     def test_overflowing_frobenius_power_is_a_resource_limit(self, capsys):
         code = main(["colon", "x1*x2, x2*x3", "--p", "2", "--e", "70"])

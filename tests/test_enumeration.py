@@ -5,12 +5,10 @@ import pytest
 import _brute
 from frobloc.enumeration import (
     canonical_squarefree_ideals,
-    exponents_to_mask,
     ideal_from_masks,
-    mask_to_exponents,
     symmetry_class,
 )
-from frobloc.monomials import MonomialIdeal
+from frobloc.monomials import MonomialIdeal, exponents_to_mask, mask_to_exponents
 from frobloc.symbolic import validate_square_free
 
 
@@ -80,6 +78,19 @@ def test_matches_the_permutation_scan(n):
     assert got == _brute.canonical_classes(n)
     for (key, _), (ideal, _) in zip(got, canonical_squarefree_ideals(n)):
         assert ideal == ideal_from_masks(key, n)
+
+
+def test_ideal_from_masks_matches_the_validating_constructor(squarefree_classes):
+    # the canonical rows installed without minimalizing, against the
+    # constructor, on every class key and in either mask order
+    for n in range(1, 7):
+        for ideal, _ in squarefree_classes(n):
+            key = sorted(exponents_to_mask(g) for g in ideal.generators())
+            reference = MonomialIdeal([mask_to_exponents(m, n) for m in key], n)
+            for masks in (key, key[::-1]):
+                got = ideal_from_masks(masks, n)
+                assert got == reference and hash(got) == hash(reference)
+            assert ideal == reference and hash(ideal) == hash(reference)
 
 
 @pytest.mark.parametrize(

@@ -20,11 +20,10 @@ from frobloc.locus import (
     is_open,
     render_expression,
     render_u_prime,
-    substitute,
     u_prime_strata,
     _has_complement_pattern,
 )
-from frobloc.monomials import MonomialIdeal, PrimePower
+from frobloc.monomials import MonomialIdeal, PrimePower, substitute
 from frobloc.oracle import classify_up_to
 from frobloc.symbolic import GenerationClass, compute_u_prime, decompose
 
@@ -53,22 +52,23 @@ class TestSubstitute:
 
 class TestStrata:
     def test_restricted_chain3(self, chain3):
-        got = {s.in_prime for s in enumerate_strata(chain3, True)}
+        got = {s.in_prime for s in enumerate_strata(chain3)}
         assert got == {
             frozenset(z) for z in [{2}, {1, 2}, {2, 3}, {1, 3}, {1, 2, 3}]
         }
 
-    def test_unrestricted_count(self, chain3):
-        assert len(enumerate_strata(chain3, False)) == 8
+    def test_unrestricted_count(self):
+        assert len(all_strata(3)) == 8
 
     def test_principal_restriction(self):
         ideal = MonomialIdeal([(1, 0, 0)])
-        got = enumerate_strata(ideal, True)
+        got = enumerate_strata(ideal)
         assert len(got) == 4
         assert all(1 in s.in_prime for s in got)
 
     def test_order_is_bitmask(self, chain3):
-        masks = [s.mask for s in enumerate_strata(chain3, False)]
+        assert [s.mask for s in all_strata(3)] == list(range(8))
+        masks = [s.mask for s in enumerate_strata(chain3)]
         assert masks == sorted(masks)
 
     def test_admissibility(self, chain4):
@@ -77,12 +77,11 @@ class TestStrata:
 
     @pytest.mark.parametrize("restrict", [True, False])
     def test_too_many_variables_raise(self, restrict):
+        # the strata meeting V(I), or all of them
         n = MAX_STRATA_VARS + 1
         ideal = MonomialIdeal([(1,) + (0,) * (n - 1)])
         with pytest.raises(ResourceLimit):
-            enumerate_strata(ideal, restrict)
-        with pytest.raises(ResourceLimit):
-            all_strata(n)
+            enumerate_strata(ideal) if restrict else all_strata(n)
 
 
 class TestClassifyStratum:
@@ -111,10 +110,11 @@ class TestClassifyStratum:
             classify_stratum(chain3, 2, Z(3, 1))
 
     def test_verdict_matches_localized_j(self, chain4):
-        for s in enumerate_strata(chain4, True):
+        for s in enumerate_strata(chain4):
             v = classify_stratum(chain4, 2, s)
+            assert v.substituted == substitute(chain4, s.inverted)
             principal = v.generation is GenerationClass.PRINCIPAL
-            assert principal == v.localized.j_part.is_zero()
+            assert principal == decompose(v.substituted, 2).j_part.is_zero()
 
 
 class TestBuildLocus:
@@ -164,7 +164,7 @@ class TestBuildLocus:
 
 class TestIsOpen:
     def test_whole_space(self, chain3):
-        universe = enumerate_strata(chain3, True)
+        universe = enumerate_strata(chain3)
         assert is_open(universe, universe) is Openness.OPEN
 
     def test_lifted_u_not_open_in_full_spectrum(self, chain4):
@@ -232,18 +232,18 @@ class TestIsOpen:
 
 class TestRenderExpression:
     def test_upward_closed_collapses_to_closure(self, chain4):
-        universe = enumerate_strata(chain4, True)
+        universe = enumerate_strata(chain4)
         family = [s for s in universe if s.in_prime >= {3, 4}]
         assert render_expression(family, universe) == "V((x3,x4))"
 
     def test_single_stratum(self, chain3):
-        universe = enumerate_strata(chain3, True)
+        universe = enumerate_strata(chain3)
         assert (
             render_expression([Z(3, 2)], universe) == "(V((x2)) ∩ D(x1*x3))"
         )
 
     def test_empty(self, chain3):
-        assert render_expression([], enumerate_strata(chain3, True)) == "(empty)"
+        assert render_expression([], enumerate_strata(chain3)) == "(empty)"
 
 
 class TestUPrimeRegion:
@@ -302,7 +302,7 @@ def test_infinite_family_upward_closed(chain3, chain4):
     for ideal in (chain3, chain4):
         report = build_locus(ideal, 2)
         family = {s.in_prime for s in report.complement_strata}
-        admissible = {s.in_prime for s in enumerate_strata(ideal, True)}
+        admissible = {s.in_prime for s in enumerate_strata(ideal)}
         for z in family:
             for z2 in admissible:
                 if z <= z2:
@@ -312,9 +312,10 @@ def test_infinite_family_upward_closed(chain3, chain4):
 def test_oracle_agreement_all_strata_n3(squarefree_classes):
     for n in (1, 2, 3):
         for ideal, _ in squarefree_classes(n):
-            for s in enumerate_strata(ideal, True):
+            for s in enumerate_strata(ideal):
                 v = classify_stratum(ideal, 2, s)
-                profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
+                assert v.substituted == substitute(ideal, s.inverted)
+                profile = classify_up_to(v.substituted, 2, 3)
                 principal = v.generation is GenerationClass.PRINCIPAL
                 assert principal == profile.finitely_generated_consistent
 
@@ -322,16 +323,18 @@ def test_oracle_agreement_all_strata_n3(squarefree_classes):
 def test_oracle_agreement_extended(squarefree_classes):
     # beyond the acceptance scope: four variables, and characteristic three
     for ideal, _ in squarefree_classes(4):
-        for s in enumerate_strata(ideal, True):
+        for s in enumerate_strata(ideal):
             v = classify_stratum(ideal, 2, s)
-            profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
+            assert v.substituted == substitute(ideal, s.inverted)
+            profile = classify_up_to(v.substituted, 2, 3)
             principal = v.generation is GenerationClass.PRINCIPAL
             assert principal == profile.finitely_generated_consistent
     for n in (2, 3):
         for ideal, _ in squarefree_classes(n):
-            for s in enumerate_strata(ideal, True):
+            for s in enumerate_strata(ideal):
                 v = classify_stratum(ideal, 3, s)
-                profile = classify_up_to(substitute(ideal, s.inverted), 3, 3)
+                assert v.substituted == substitute(ideal, s.inverted)
+                profile = classify_up_to(v.substituted, 3, 3)
                 principal = v.generation is GenerationClass.PRINCIPAL
                 assert principal == profile.finitely_generated_consistent
 
@@ -350,7 +353,7 @@ def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_cl
         for n in range(1, max_n + 1):
             for ideal, _ in squarefree_classes(n):
                 global_d = decompose(ideal, p)
-                for s in enumerate_strata(ideal, True):
+                for s in enumerate_strata(ideal):
                     sub = substitute(ideal, s.inverted)
                     if (sub, p) not in reference:
                         reference[sub, p] = decompose(sub, p)
@@ -371,12 +374,12 @@ def test_build_locus_matches_definitional_on_paths_and_cycles(kind):
         ideal = _edge_ideal(kind, n)
         report = build_locus(ideal, 2)
         assert report.decomposition == decompose(ideal, 2)
-        assert [v.stratum for v in report.verdicts] == enumerate_strata(ideal, True)
+        assert [v.stratum for v in report.verdicts] == enumerate_strata(ideal)
         for v in report.verdicts:
-            local = decompose(substitute(ideal, v.stratum.inverted), 2)
-            assert v.localized == local
+            sub = substitute(ideal, v.stratum.inverted)
+            assert v.substituted == sub
             principal = v.generation is GenerationClass.PRINCIPAL
-            assert principal == local.j_part.is_zero()
+            assert principal == decompose(sub, 2).j_part.is_zero()
 
 
 @st.composite
@@ -422,7 +425,8 @@ def test_complement_pattern_matches_reference_on_every_enumerated_stratum(
             report = build_locus(ideal, p)
             d = report.decomposition
             for v in report.verdicts:
-                outcomes.add(_certificate_agrees(d, v.stratum, v.localized.base))
+                assert v.substituted == substitute(ideal, v.stratum.inverted)
+                outcomes.add(_certificate_agrees(d, v.stratum, v.substituted))
     assert outcomes == {True, False}
 
 
@@ -444,7 +448,7 @@ def stratum_families(draw):
     else:
         masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
         ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
-        universe = enumerate_strata(ideal, True)
+        universe = enumerate_strata(ideal)
     size = len(universe)
     roles = draw(st.lists(st.sampled_from("mur"), min_size=size, max_size=size))
     return universe, *([s for s, r in zip(universe, roles) if r == k] for k in "mur")
@@ -466,4 +470,4 @@ def test_pickle_round_trip(chain4):
     copy = pickle.loads(pickle.dumps(report))
     assert copy == report
     assert copy.expression_u == report.expression_u
-    assert copy.verdicts[0].localized.base == report.verdicts[0].localized.base
+    assert copy.verdicts[0].substituted == report.verdicts[0].substituted

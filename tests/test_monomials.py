@@ -7,36 +7,7 @@ from hypothesis import strategies as st
 
 import _brute
 from frobloc.errors import AmbientMismatch, ResourceLimit
-from frobloc.monomials import (
-    MonomialIdeal,
-    PrimePower,
-    divides,
-    generator_budget,
-    is_prime,
-    lcm,
-    minimalize,
-    mono_mul,
-)
-
-
-class TestMonomialOps:
-    def test_divides(self):
-        assert divides((1, 1, 0), (2, 1, 0))
-        assert divides((0, 0, 0), (5, 2, 7))
-        assert not divides((2, 1, 0), (1, 1, 0))
-
-    def test_divides_mismatch(self):
-        with pytest.raises(AmbientMismatch):
-            divides((1, 0), (1, 0, 0))
-
-    def test_lcm(self):
-        assert lcm((2, 2, 0), (0, 1, 2)) == (2, 2, 2)
-        m = (3, 0, 1)
-        assert lcm(m, m) == m
-        assert lcm(m, (0, 0, 0)) == m
-
-    def test_mul(self):
-        assert mono_mul((1, 0), (0, 2)) == (1, 2)
+from frobloc.monomials import MonomialIdeal, PrimePower, generator_budget, is_prime
 
 
 class TestPrimePower:
@@ -117,24 +88,24 @@ class TestPrimePower:
 
 class TestMinimalize:
     def test_divisibility_redundancy(self):
-        ideal = minimalize([(2, 2, 0), (2, 1, 0)])
+        ideal = MonomialIdeal([(2, 2, 0), (2, 1, 0)])
         assert ideal.generators() == ((2, 1, 0),)
 
     def test_chain(self):
-        ideal = minimalize([(0, 1, 0), (1, 1, 0), (0, 1, 1)])
+        ideal = MonomialIdeal([(0, 1, 0), (1, 1, 0), (0, 1, 1)])
         assert ideal.generators() == ((0, 1, 0),)
 
     def test_empty_is_zero(self):
-        ideal = minimalize([], n=3)
+        ideal = MonomialIdeal([], n=3)
         assert ideal.is_zero()
         assert not ideal.is_unit()
 
     def test_unit_absorbs(self):
-        ideal = minimalize([(0, 0), (1, 0), (0, 3)])
+        ideal = MonomialIdeal([(0, 0), (1, 0), (0, 3)])
         assert ideal.is_unit()
 
     def test_duplicates_collapse(self):
-        ideal = minimalize([(1, 2), (1, 2), (2, 1), (2, 1)])
+        ideal = MonomialIdeal([(1, 2), (1, 2), (2, 1), (2, 1)])
         assert ideal.generators() == ((1, 2), (2, 1))
 
 
@@ -207,6 +178,12 @@ class TestFrobeniusPower:
         ideal = MonomialIdeal([(1 << 40,)])
         with pytest.raises(OverflowError):
             ideal.frobenius_power(PrimePower(2, 30))
+
+    def test_e_boundary(self):
+        x1 = MonomialIdeal([(1,)])
+        assert x1.frobenius_power(PrimePower(2, 61)).generators() == ((1 << 61,),)
+        with pytest.raises(OverflowError, match=r"^q = 2\^62 exceeds"):
+            x1.frobenius_power(PrimePower(2, 62))
 
     def test_supported_range(self):
         # q = 7^4 must work

@@ -11,12 +11,10 @@ from frobloc.symbolic import (
     GenerationClass,
     SymbolicIdeal,
     SymExp,
-    classify_global,
     colon_symbolic,
     compute_beta,
     compute_u_prime,
     decompose,
-    format_symbolic_monomial,
     validate_square_free,
 )
 
@@ -77,8 +75,13 @@ class TestSymbolicIdeal:
     def test_render(self):
         ideal = SymbolicIdeal([[Q, QM1, Z, Q]], 4)
         assert ideal.render() == "(x1^q*x2^(q-1)*x4^q)"
-        assert format_symbolic_monomial((SymExp(0, 0),)) == "1"
-        assert format_symbolic_monomial((SymExp(0, 1), SymExp(2, 1))) == "x1*x2^(2q+1)"
+        assert SymbolicIdeal([[Z, Z]], 2).render() == "(1)"
+        assert SymbolicIdeal([], 2).render() == "(0)"
+        # display order: by support first, then by rank
+        ideal = SymbolicIdeal([[Q, QM1, Z], [Z, QM1, Q], [QM1, Z, QM1]], 3)
+        assert ideal.render() == (
+            "(x2^(q-1)*x3^q, x1^(q-1)*x3^(q-1), x1^q*x2^(q-1))"
+        )
 
 
 class TestColonSymbolic:
@@ -144,13 +147,6 @@ class TestDecompose:
             (QM1, Q, QM1, QM1, Z),
         )
 
-    def test_socle_exponents(self, chain3):
-        assert decompose(chain3, 2).socle_exponents == (
-            SymExp(1, -1),
-            SymExp(1, -1),
-            SymExp(1, -1),
-        )
-
 
 class TestInstantiate:
     def test_j_part_at_q2(self, chain3):
@@ -172,11 +168,11 @@ class TestInstantiate:
 
 class TestClassifyGlobal:
     def test_infinite(self, chain3):
-        assert classify_global(decompose(chain3, 2)) is GenerationClass.INFINITE
+        assert decompose(chain3, 2).generation_class is GenerationClass.INFINITE
 
     def test_principal_ideal(self):
         d = decompose(MonomialIdeal([(1, 1)]), 2)
-        assert classify_global(d) is GenerationClass.PRINCIPAL
+        assert d.generation_class is GenerationClass.PRINCIPAL
         assert d.principal_witness == (1, 1)
         assert d.j_part.is_zero()
 
