@@ -9,8 +9,12 @@ principal/infinite dichotomy is constant on each stratum.  The locus U of
 primes with finitely generated algebra is therefore a union of strata, and
 its openness is a purely combinatorial question: a union of strata is
 closed iff its index family is upward-closed under Z-inclusion.  Each
-stratum is decided from the localization of the ideal's one global
-decomposition; its verdict keeps only phi_W(I) (``substituted``).
+stratum is decided from the ideal's one global decomposition: its colon
+rows are substituted at W and J_Z = 0 iff none of them is residual, so no
+per-stratum decomposition is built; the verdict keeps only phi_W(I)
+(``substituted``).  Both universes in use, all strata and the strata
+meeting V(I), are upward-closed, so openness and the display walk
+single-bit covers z | 1 << i.
 
 A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
 it.  Z-inclusion a <= b is then ``a & ~b == 0``, and a stratum meets V(I)
@@ -26,10 +30,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InadmissibleStratum, ResourceLimit
-from .monomials import MonomialIdeal, exponents_to_mask, format_monomial
+from .monomials import MonomialIdeal, exponents_to_mask, format_monomial, substitute
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
+    _residual_rows,
+    compute_beta,
     decompose,
     validate_square_free,
 )
@@ -139,14 +145,15 @@ def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
 def classify_stratum(
     ideal: MonomialIdeal, p: int, stratum: Stratum, strict: bool = False
 ) -> StratumVerdict:
-    """Classify the algebra on one stratum via the localized decomposition.
+    """Classify the algebra on one stratum via the localized colon.
 
-    The localized decomposition decides everything: empty J means principal
-    (DirectTheorem).  A surviving J generator showing exponents 0, p-1 and p
-    among the variables of Z certifies infinite generation on the whole
-    stratum (ComplementPattern).  A nonzero J without that pattern is still
-    reported infinite by the localized dichotomy (Transfer certificate)
-    unless strict mode downgrades it to Undetermined.
+    The localized colon decides everything: no residual row, i.e. an empty
+    J for phi_W(I), means principal (DirectTheorem).  A surviving J
+    generator showing exponents 0, p-1 and p among the variables of Z
+    certifies infinite generation on the whole stratum (ComplementPattern).
+    A nonzero J without that pattern is still reported infinite by the
+    localized dichotomy (Transfer certificate) unless strict mode downgrades
+    it to Undetermined.
     """
     validate_square_free(ideal)
     if stratum.n != ideal.n:
@@ -160,17 +167,25 @@ def _classify(
     global_d: ColonDecomposition, stratum: Stratum, strict: bool
 ) -> StratumVerdict:
     """classify_stratum on an admissible stratum, given the global
-    decomposition of the ideal."""
-    local = global_d.localize(stratum.inverted)
-    if local.j_part.is_zero():
+    decomposition of the ideal.
+
+    Localization commutes with the colon: substituting W in the rank ideal
+    of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)).  J of phi_W(I) is
+    zero iff none of those rows is residual, so no colon is recomputed and
+    no localized decomposition is built.
+    """
+    inverted = stratum.inverted
+    sub = substitute(global_d.base, inverted)
+    colon = substitute(global_d.colon.ranks, inverted)
+    if not len(_residual_rows(sub, colon.gens, compute_beta(sub))):
         outcome = GenerationClass.PRINCIPAL, Certificate.DIRECT
-    elif _has_complement_pattern(global_d, stratum, local.base):
+    elif _has_complement_pattern(global_d, stratum, sub):
         outcome = GenerationClass.INFINITE, Certificate.COMPLEMENT
     elif strict:
         outcome = GenerationClass.UNDETERMINED, Certificate.NONE
     else:
         outcome = GenerationClass.INFINITE, Certificate.TRANSFER
-    return StratumVerdict(stratum, *outcome, local.base)
+    return StratumVerdict(stratum, *outcome, sub)
 
 
 def _has_complement_pattern(
@@ -190,20 +205,29 @@ def _has_complement_pattern(
     images[:, w] = 0
     z_ranks = images[:, z]
     pattern = np.all([(z_ranks == r).any(axis=1) for r in (0, 1, 2)], axis=0)
-    candidates = images[pattern]
     socle = np.array(global_d.beta)
     socle[w] = 0
-    covered = sub.frobenius_power(2).contains_each(candidates)
-    covered |= (candidates >= socle).all(axis=1)
-    return not covered.all()
+    return len(_residual_rows(sub, images[pattern], socle)) > 0
 
 
 # ---------------------------------------------------------------------------
 # openness on the stratum poset
 
 
-def _upward_closure(family: set[int], universe: Sequence[int]) -> set[int]:
-    return {z for z in universe if any(m & ~z == 0 for m in family)}
+def _upward_closure(family: Iterable[int], n: int) -> set[int]:
+    """Every superset of a member of the family, among n variables, found by
+    walking single-bit covers z | 1 << i.  Inside an upward-closed universe
+    that contains the family, this is the family's closure in the universe."""
+    closure = set(family)
+    stack = list(closure)
+    while stack:
+        z = stack.pop()
+        for i in range(n):
+            cover = z | 1 << i
+            if cover not in closure:
+                closure.add(cover)
+                stack.append(cover)
+    return closure
 
 
 def is_open(
@@ -216,18 +240,26 @@ def is_open(
     The union is open iff the complementary index family is upward-closed
     under Z-inclusion.  Undetermined strata may sit on either side; when the
     verdict depends on where they land, the answer is Unknown.
+
+    The universe must be upward-closed (every Z-superset of a member is a
+    member), as all strata and the strata meeting V(I) are: the closure is
+    then walked along single-bit covers, never by scanning the universe.
     """
-    space = [s.mask for s in universe]
+    n = universe[0].n if universe else 0
     members = {s.mask for s in members}
     undet = {s.mask for s in undetermined} - members
-    complement = set(space) - members - undet
+    complement = {s.mask for s in universe} - members - undet
 
-    closure = _upward_closure(complement, space)
+    closure = _upward_closure(complement, n)
     open_possible = (closure - complement) <= undet
     if complement == closure:
+        # an undetermined stratum with a strict superset outside the
+        # (upward-closed) complement has a cover outside it
         notopen_possible = any(
-            any(s & ~z == 0 and s != z and z not in complement for z in space)
+            s | 1 << i not in complement
             for s in undet
+            for i in range(n)
+            if not s >> i & 1
         )
     else:
         notopen_possible = True
@@ -243,22 +275,33 @@ def render_expression(members: Iterable[Stratum], universe: Sequence[Stratum]) -
     Minimal members whose whole up-set (inside the ambient) belongs to the
     family contribute their closure V(x_j : j in Z); every other member is
     written as its locally closed stratum V(...) cap D(prod of W-variables).
+
+    The universe must be upward-closed and contain the members, as in
+    ``is_open``: a member's up-set is then every Z-superset of it, so it
+    lies in the family iff each single-bit cover z | 1 << i does, and a
+    member is minimal iff no co-cover z & ~(1 << i) lies in the family's
+    upward closure.
     """
     members = set(members)
     if not members:
         return "(empty)"
+    n = universe[0].n
     masks = {s.mask for s in members}
+    above = _upward_closure(masks, n)
+    closed: set[int] = set()  # members whose whole up-set is in the family
+    for z in sorted(masks, key=int.bit_count, reverse=True):
+        if all(z | 1 << i in closed for i in range(n) if not z >> i & 1):
+            closed.add(z)
     consumed: set[int] = set()
     pieces = []
     for s in sorted(members, key=lambda s: (s.mask.bit_count(), s.mask)):
         z = s.mask
         if z in consumed:
             continue
-        minimal = not any(m & ~z == 0 and m != z for m in masks)
-        up = {u.mask for u in universe if z & ~u.mask == 0}
-        if minimal and up <= masks:
+        minimal = not any(z & ~(1 << i) in above for i in range(n) if z >> i & 1)
+        if minimal and z in closed:
             pieces.append(_render_v(s))
-            consumed |= up
+            consumed |= _upward_closure((z,), n)
         else:
             pieces.append(_render_stratum(s))
             consumed.add(z)
@@ -298,7 +341,7 @@ class LocusReport:
     expression_u: str
     expression_complement: str
     notes: tuple[str, ...]
-    decomposition: ColonDecomposition  # of the ideal itself, localized per stratum
+    decomposition: ColonDecomposition  # of the ideal itself, substituted per stratum
 
 
 # Published locus displays known to disagree with the derived stratum table.

@@ -257,12 +257,6 @@ class MonomialIdeal:
     def __contains__(self, mono: Exponents) -> bool:
         return self.contains(mono)
 
-    def is_subideal_of(self, other: "MonomialIdeal") -> bool:
-        self._same_ambient(other)
-        if self.is_zero():
-            return True
-        return bool(other.contains_each(self.gens).all())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented

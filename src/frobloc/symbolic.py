@@ -19,6 +19,11 @@ are those of ``MonomialIdeal``, and the symbolic colon is the concrete colon
 at q = 2.  The affine form a*q + b (``SymExp``) appears only at the
 boundary, in construction and ``terms()``; ``render()`` prints each rank
 through a fixed suffix: none, ``^(q-1)`` or ``^q``.
+
+One residual-row test (``_residual_rows``: rank rows outside I^[2] and not
+above beta) cuts J out of the colon here, and decides each stratum in
+``locus`` on the substituted global colon, so a stratum never needs a
+decomposition of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateIdeal, FroblocError, SquareFreeViolation
-from .monomials import MonomialIdeal, PrimePower, require_prime, substitute
+from .monomials import _MAX_EXPONENT, MonomialIdeal, PrimePower, require_prime
 
 
 class SymExp(NamedTuple):
@@ -109,6 +114,8 @@ class SymbolicIdeal:
         """The concrete ideal at the given q >= 2."""
         if q < 2:
             raise ValueError(f"q={q} must be >= 2")
+        if q >= _MAX_EXPONENT:
+            raise OverflowError(f"q={q} exceeds the int64 guard")
         # 0 -> 0, 1 -> q-1, 2 -> q is strictly increasing, so the lex-sorted
         # rank antichain maps onto a lex-sorted antichain: already canonical
         exps = np.array([0, q - 1, q], dtype=np.int64)[self.enc]
@@ -198,26 +205,18 @@ class ColonDecomposition:
     beta: tuple[int, ...]
     colon: SymbolicIdeal
 
-    def localize(self, inverted: Iterable[int]) -> "ColonDecomposition":
-        """The decomposition of substitute(base, W), W = ``inverted``.
-
-        Localization commutes with the colon: substituting W in the rank
-        ideal of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)), so no
-        colon is recomputed.  W must leave the base a proper ideal.
-        """
-        sub = substitute(self.base, inverted)
-        colon = SymbolicIdeal._of(substitute(self.colon.ranks, inverted))
-        return _partition(sub, self.p, colon)
-
     def instantiate(self, e: int) -> DecompositionParts:
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
-        q = PrimePower(self.p, e).q
+        power = PrimePower(self.p, e)
+        # the int64 guard of I^[q] refuses q >= 2^62, from e >= 62 on before
+        # computing p^e
+        image = self.base.frobenius_power(power)
+        q = power.q
         frob = self.frobenius_part.instantiate(q)
         j = self.j_part.instantiate(q)
         socle = MonomialIdeal([[b * (q - 1) for b in self.beta]], self.base.n)
-        full = self.base.frobenius_power(PrimePower(self.p, e)) + j + socle
-        return DecompositionParts(frob, j, socle, full)
+        return DecompositionParts(frob, j, socle, image + j + socle)
 
     @property
     def generation_class(self) -> GenerationClass:
@@ -242,36 +241,39 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
     of the rest, those divisible by (x^beta)^(q-1) belong to the socle part;
     whatever remains is J.  Divisibility is the uniform (all q >= 2) one.
     """
-    return _partition(ideal, p, colon_symbolic(ideal, p))
-
-
-def _partition(
-    ideal: MonomialIdeal, p: int, sym: SymbolicIdeal
-) -> ColonDecomposition:
-    """Split the symbolic colon ``sym`` of ``ideal`` into the three groups."""
-    validate_square_free(ideal)
-    n = ideal.n
+    sym = colon_symbolic(ideal, p)
     beta = compute_beta(ideal)
     rows = sym.enc
-
-    # the Frobenius part lies in I^[q] (ranks: I^[2]), the socle part is
-    # divisible by (x^beta)^(q-1) (ranks beta)
-    in_frob = ideal.frobenius_power(2).contains_each(rows)
-    in_socle = (rows >= np.array(beta)).all(axis=1) & ~in_frob
-    in_j = ~in_frob & ~in_socle
-
     # a subset of a canonical antichain is canonical
-    frob_part = SymbolicIdeal._of(MonomialIdeal._from_canonical(rows[in_frob], n))
-    j = rows[in_j]
-    j_part = SymbolicIdeal._of(MonomialIdeal._from_canonical(j, n))
+    frob = rows[ideal.frobenius_power(2).contains_each(rows)]
+    j = _residual_rows(ideal, rows, beta)
+    return ColonDecomposition(
+        ideal,
+        p,
+        SymbolicIdeal._of(MonomialIdeal._from_canonical(frob, ideal.n)),
+        SymbolicIdeal._of(MonomialIdeal._from_canonical(j, ideal.n)),
+        beta,
+        sym,
+    )
 
-    # residual generators always carry a q and a q-1 exponent simultaneously
-    pattern = (j == 1).any(axis=1) & (j == 2).any(axis=1)
+
+def _residual_rows(
+    ideal: MonomialIdeal, rows: np.ndarray, beta: Sequence[int]
+) -> np.ndarray:
+    """The rank rows outside ideal^[2] (the ranks of I^[q]) and not >= beta
+    (not divisible by (x^beta)^(q-1)): J's rows when ``rows`` is the colon
+    of ``ideal`` and ``beta`` its support.
+
+    Residual generators always carry a q and a q-1 exponent simultaneously;
+    a residual row without both raises FroblocError.
+    """
+    rows = rows[~ideal.frobenius_power(2).contains_each(rows)]
+    rows = rows[~(rows >= np.asarray(beta)).all(axis=1)]
+    pattern = (rows == 1).any(axis=1) & (rows == 2).any(axis=1)
     if not pattern.all():
-        term = tuple(_RANK_FORMS[r] for r in j[int(np.argmin(pattern))].tolist())
+        term = tuple(_RANK_FORMS[r] for r in rows[int(np.argmin(pattern))].tolist())
         raise FroblocError(f"residual generator without q/q-1 pattern: {term}")
-
-    return ColonDecomposition(ideal, p, frob_part, j_part, beta, sym)
+    return rows
 
 
 def compute_u_prime(decomposition: ColonDecomposition) -> MonomialIdeal:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
+from frobloc import symbolic
 from frobloc.errors import InadmissibleStratum, ResourceLimit
 from frobloc.locus import (
     MAX_STRATA_VARS,
@@ -343,8 +344,17 @@ def test_oracle_agreement_extended(squarefree_classes):
 # localizing the global colon against the definitional per-stratum colon
 
 
-def _parts(d):
-    return d.frobenius_part, d.j_part, d.beta
+def _stratum_agrees(global_d, verdict, reference):
+    """The two facts a stratum's verdict rests on: the substituted global
+    colon is the colon of phi_W(I) (``reference.colon``, computed by
+    colon_symbolic), and the verdict's class and ``substituted`` are those
+    of the definitional ``reference`` = decompose(phi_W(I))."""
+    sub = substitute(global_d.base, verdict.stratum.inverted)
+    colon = substitute(global_d.colon.ranks, verdict.stratum.inverted)
+    assert reference.base == sub
+    assert colon == reference.colon.ranks
+    assert verdict.substituted == sub
+    assert verdict.generation is reference.generation_class
 
 
 def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_classes):
@@ -352,13 +362,12 @@ def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_cl
     for p, max_n in ((2, 5), (3, 4), (5, 4)):
         for n in range(1, max_n + 1):
             for ideal, _ in squarefree_classes(n):
-                global_d = decompose(ideal, p)
-                for s in enumerate_strata(ideal):
-                    sub = substitute(ideal, s.inverted)
+                report = build_locus(ideal, p)
+                for v in report.verdicts:
+                    sub = v.substituted
                     if (sub, p) not in reference:
                         reference[sub, p] = decompose(sub, p)
-                    fast = global_d.localize(s.inverted)
-                    assert _parts(fast) == _parts(reference[sub, p]), (ideal, s)
+                    _stratum_agrees(report.decomposition, v, reference[sub, p])
 
 
 def _edge_ideal(kind, n):
@@ -398,9 +407,25 @@ def ideal_and_stratum(draw):
 @settings(max_examples=80, deadline=None)
 def test_localize_matches_definitional_random(case, p):
     ideal, stratum = case
-    fast = decompose(ideal, p).localize(stratum.inverted)
+    verdict = classify_stratum(ideal, p, stratum)
     reference = decompose(substitute(ideal, stratum.inverted), p)
-    assert _parts(fast) == _parts(reference)
+    _stratum_agrees(decompose(ideal, p), verdict, reference)
+
+
+def test_build_locus_decomposes_once(monkeypatch, chain4):
+    built = []
+    init = symbolic.ColonDecomposition.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(symbolic.ColonDecomposition, "__init__", counting_init)
+    for ambient in ("vi", "full"):
+        built.clear()
+        report = build_locus(chain4, 2, ambient=ambient)
+        assert len(report.verdicts) > 1
+        assert built == [chain4]
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +461,19 @@ def test_complement_pattern_matches_reference_random(case, p):
     ideal, stratum = case
     global_d = decompose(ideal, p)
     _certificate_agrees(global_d, stratum, substitute(ideal, stratum.inverted))
+
+
+def _is_upward_closed(strata):
+    masks = {s.mask for s in strata}
+    return all(z | 1 << i in masks for z in masks for i in range(strata[0].n))
+
+
+def test_strata_universes_are_upward_closed(squarefree_classes):
+    # is_open and render_expression walk single-bit covers on this premise
+    for n in range(1, 6):
+        assert _is_upward_closed(all_strata(n))
+        for ideal, _ in squarefree_classes(n):
+            assert _is_upward_closed(enumerate_strata(ideal)), ideal
 
 
 @st.composite

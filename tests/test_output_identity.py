@@ -9,6 +9,7 @@ failure message prints the new value) and says why.
 import contextlib
 import hashlib
 import io
+import itertools
 
 import pytest
 
@@ -39,18 +40,18 @@ def _classes():
             yield _text(ideal.generators()), n
 
 
-def _graphs():
-    for n in range(3, 9):
+def _graphs(ns=range(3, 9)):
+    for n in ns:
         path = [f"x{i}*x{i + 1}" for i in range(1, n)]
         yield ", ".join(path), n
         yield ", ".join(path + [f"x1*x{n}"]), n
 
 
-def _ideal_commands(ideals, primes, commands):
-    for text, n in ideals():
+def _ideal_commands(ideals, primes, commands, json_flags=([], ["--json"])):
+    for text, n in ideals:
         for p in primes:
             for command in commands:
-                for json_flag in ([], ["--json"]):
+                for json_flag in json_flags:
                     argv = [command[0], text, "--vars", str(n), "--p", str(p)]
                     yield argv + list(command[1:]) + json_flag
 
@@ -96,11 +97,21 @@ ERROR_CASES = [
 def _families():
     for name, command in CLASS_COMMANDS.items():
         yield name, lambda c=command: (
-            (argv, {}) for argv in _ideal_commands(_classes, (2, 3), [c])
+            (argv, {}) for argv in _ideal_commands(_classes(), (2, 3), [c])
         )
     graph_commands = [("decompose",), ("locus",)]
     yield "graphs", lambda: (
-        (argv, {}) for argv in _ideal_commands(_graphs, (2, 5), graph_commands)
+        (argv, {}) for argv in _ideal_commands(_graphs(), (2, 5), graph_commands)
+    )
+    mode_commands = [("locus", "--strict"), ("locus", "--ambient", "full")]
+    yield "graphs-modes", lambda: (
+        (argv, {})
+        for argv in itertools.chain(
+            _ideal_commands(_graphs(range(3, 11)), (2, 3), mode_commands),
+            _ideal_commands(
+                _graphs(range(3, 8)), (2, 3), [("locus", "--check")], json_flags=([],)
+            ),
+        )
     )
     yield "enumerate", lambda: (
         (["enumerate", "--vars", str(n), "--p", "2"] + json_flag + check, {})
@@ -121,6 +132,7 @@ EXPECTED = {
     "locus-strict": "3439a609fe8d7341eff2d715344dbb8464125b03ab375dc9a5f61fbabf1116f5",
     "locus-full": "9949aab5d2b6bd989b43593c50c3c0ca513fc3e47895e8b1eabe695b2d2e7351",
     "graphs": "692b78ff6fdc52bdc25c583cf3438156a504f021456b0f690f2410c30652cf3f",
+    "graphs-modes": "f77817e58c1a0e395b33ee4cabedc2e80d8bb446d3b7e7d147099e2b7f73dac8",
     "enumerate": "ad525bcb13c85b0981f2ee750272f48b6f795da53d42c1cb22c67a6b8ed049a7",
     "errors": "39cd600a9a075200a1e7927a5ff4ead40af003b7f237f098425aa26aa0a0f315",
 }

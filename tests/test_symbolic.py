@@ -1,4 +1,5 @@
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobloc.errors import DegenerateIdeal, SquareFreeViolation
-from frobloc.monomials import MonomialIdeal, PrimePower
+from frobloc.monomials import MonomialIdeal, PrimePower, substitute
 from frobloc.symbolic import (
     GenerationClass,
     SymbolicIdeal,
@@ -66,6 +67,13 @@ class TestSymbolicIdeal:
         with pytest.raises(ValueError):
             ideal.instantiate(1)
         assert ideal.instantiate(9) == MonomialIdeal([(9,)])
+
+    def test_instantiate_q_boundary(self):
+        ideal = SymbolicIdeal([[Q]], 1)
+        assert ideal.instantiate(2**62 - 1) == MonomialIdeal([(2**62 - 1,)])
+        for q in (2**62, 3**40, 10**100):
+            with pytest.raises(OverflowError, match=r"^q=\d+ exceeds the int64 guard"):
+                ideal.instantiate(q)
 
     def test_negative_at_q2_rejected(self):
         # q-3 is negative at the q=2 endpoint
@@ -158,6 +166,18 @@ class TestInstantiate:
     def test_j_part_at_q4(self, chain3):
         parts = decompose(chain3, 2).instantiate(2)
         assert parts.j == MonomialIdeal([(4, 3, 0), (0, 3, 4)])
+
+    @pytest.mark.parametrize("p,e", [(2, 62), (3, 40), (3, 62), (3, 10**6), (2, 10**9)])
+    def test_huge_e_is_refused_fast(self, chain3, p, e):
+        d = decompose(chain3, p)
+        start = time.perf_counter()
+        with pytest.raises(OverflowError, match="exceeds the int64 guard"):
+            d.instantiate(e)
+        assert time.perf_counter() - start < 1.0
+
+    def test_e_boundary(self, chain3):
+        parts = decompose(chain3, 3).instantiate(39)  # 3^39 < 2^62 < 3^40
+        assert parts.socle == MonomialIdeal([(3**39 - 1,) * 3])
 
     def test_full_sum_equals_colon(self, chain3):
         for p, e in [(2, 1), (2, 2), (3, 1)]:
@@ -292,7 +312,7 @@ def test_rank_encoding_random(case, p):
     for e in (1, 2):
         concrete = ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
         assert sym.instantiate(p**e) == concrete
-    local = decompose(ideal, p).localize(inverted)
+    local = decompose(substitute(ideal, inverted), p)
     for part in (local.colon, local.frobenius_part, local.j_part):
         assert set(np.unique(part.enc).tolist()) <= {0, 1, 2}
 
