@@ -254,9 +254,9 @@ def _cmd_uprime(args) -> int:
     return EXIT_OK
 
 
-def _locus_text(report: LocusReport) -> str:
+def _locus_text(report: LocusReport, args) -> str:
     ambient = "V(I)" if report.ambient == "vi" else "Spec(R)"
-    mode = "strict" if report.strict else "default"
+    mode = "strict" if args.strict else "default"
     lines = [
         f"I = {report.ideal.render()}   [n={report.ideal.n}]  p={report.p}  "
         f"ambient={ambient}  mode={mode}",
@@ -281,7 +281,7 @@ def _locus_text(report: LocusReport) -> str:
 def _cmd_locus(args) -> int:
     expr = _read_ideal_argument(args)
     ideal = expr.to_ideal()
-    report = build_locus(ideal, args.p, strict=args.strict, ambient=args.ambient)
+    report = build_locus(ideal, args.p, ambient=args.ambient)
     payload = {
         "n": ideal.n,
         "p": args.p,
@@ -296,7 +296,7 @@ def _cmd_locus(args) -> int:
         ],
         "openness": report.openness.value,
     }
-    _emit(args, payload, _locus_text(report))
+    _emit(args, payload, _locus_text(report, args))
     if args.check:
         for v, needs_new in _disagreements(report.verdicts, args.p, args.max_e, {}):
             print(
@@ -322,8 +322,9 @@ def _disagreements(
     (finitely_generated_consistent, needs_new), never to a whole profile
     with its F_e and L_e ideals.  The oracle's answer does not change under
     relabelling the variables or dropping unused ones, and strata share
-    their substituted ideals up to both.  The principal verdict does not
-    depend on --strict."""
+    their substituted ideals up to both.  Only the principal/infinite
+    verdict is compared: every infinite verdict carries the
+    ComplementPattern certificate."""
     # imported on use: commands without --check never load the enumeration
     from .enumeration import symmetry_class
 
@@ -377,13 +378,14 @@ def _cmd_enumerate(args) -> int:
     reps = canonical_squarefree_ideals(args.vars)
     rows = []
     counts = {"principal": 0, "infinite": 0}
+    # "unknown" stays in the output schema; it is always 0
     openness_counts = {"open": 0, "not_open": 0, "unknown": 0}
     total_orbit = 0
     checked = disagreements = 0
     # strata of different classes often localize to the same base ideal
     memo: "dict[int | MonomialIdeal, tuple[bool, tuple[bool, ...]]]" = {}
     for ideal, orbit in reps:
-        report = build_locus(ideal, args.p, strict=args.strict)
+        report = build_locus(ideal, args.p)
         d = report.decomposition
         counts[d.generation_class.value] += 1
         openness_counts[report.openness.value] += 1
@@ -433,8 +435,7 @@ def _cmd_enumerate(args) -> int:
             f"not_open {openness_counts['not_open']}, "
             f"unknown {openness_counts['unknown']}"
         )
-        for row in rows:
-            ideal = MonomialIdeal(row["generators"], args.vars)
+        for (ideal, _), row in zip(reps, rows):
             print(
                 f"  {ideal.render():<40} orbit {row['orbit']:>3}  "
                 f"{row['class']:<10} U {row['openness']}"
@@ -489,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     loc.add_argument(
         "--strict",
         action="store_true",
-        help="leave strata without a verbatim certificate undetermined",
+        help="accepted for compatibility: prints mode=strict, changes no verdict",
     )
     loc.add_argument(
         "--ambient",
@@ -520,7 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check every stratum against the brute-force oracle",
     )
-    enum.add_argument("--strict", action="store_true")
+    enum.add_argument(
+        "--strict", action="store_true", help="accepted for compatibility; no effect"
+    )
     enum.add_argument("--json", action="store_true")
     enum.set_defaults(handler=_cmd_enumerate)
 

@@ -27,8 +27,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InadmissibleStratum, ResourceLimit
 from .monomials import MonomialIdeal, exponents_to_mask, format_monomial, substitute
 from .symbolic import (
@@ -82,26 +80,28 @@ class Stratum:
 class Certificate(enum.Enum):
     DIRECT = "DirectTheorem"
     COMPLEMENT = "ComplementPattern"
-    TRANSFER = "Transfer"
-    NONE = "None"
 
 
 class Openness(enum.Enum):
     OPEN = "open"
     NOT_OPEN = "not_open"
-    UNKNOWN = "unknown"
 
     @property
     def label(self) -> str:
-        return {"open": "Open", "not_open": "NotOpen", "unknown": "Unknown"}[self.value]
+        return "Open" if self is Openness.OPEN else "NotOpen"
 
 
 @dataclass(frozen=True)
 class StratumVerdict:
     stratum: Stratum
     generation: GenerationClass
-    certificate: Certificate
     substituted: MonomialIdeal  # phi_W(I), the ideal's image on the stratum
+
+    @property
+    def certificate(self) -> Certificate:
+        if self.generation is GenerationClass.PRINCIPAL:
+            return Certificate.DIRECT
+        return Certificate.COMPLEMENT
 
 
 def is_admissible(ideal: MonomialIdeal, stratum: Stratum) -> bool:
@@ -142,30 +142,25 @@ def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
     ]
 
 
-def classify_stratum(
-    ideal: MonomialIdeal, p: int, stratum: Stratum, strict: bool = False
-) -> StratumVerdict:
+def classify_stratum(ideal: MonomialIdeal, p: int, stratum: Stratum) -> StratumVerdict:
     """Classify the algebra on one stratum via the localized colon.
 
     The localized colon decides everything: no residual row, i.e. an empty
-    J for phi_W(I), means principal (DirectTheorem).  A surviving J
-    generator showing exponents 0, p-1 and p among the variables of Z
-    certifies infinite generation on the whole stratum (ComplementPattern).
-    A nonzero J without that pattern is still reported infinite by the
-    localized dichotomy (Transfer certificate) unless strict mode downgrades
-    it to Undetermined.
+    J for phi_W(I), means principal (DirectTheorem).  Otherwise some
+    surviving J generator shows exponents 0, p-1 and p among the variables
+    of Z, which certifies infinite generation on the whole stratum
+    (ComplementPattern); ``_classify`` says why such a generator always
+    exists.
     """
     validate_square_free(ideal)
     if stratum.n != ideal.n:
         raise ValueError("stratum and ideal live in different ambients")
     if not is_admissible(ideal, stratum):
         raise InadmissibleStratum(f"{stratum.render()} does not meet V(I)")
-    return _classify(decompose(ideal, p), stratum, strict)
+    return _classify(decompose(ideal, p), stratum)
 
 
-def _classify(
-    global_d: ColonDecomposition, stratum: Stratum, strict: bool
-) -> StratumVerdict:
+def _classify(global_d: ColonDecomposition, stratum: Stratum) -> StratumVerdict:
     """classify_stratum on an admissible stratum, given the global
     decomposition of the ideal.
 
@@ -173,41 +168,21 @@ def _classify(
     of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)).  J of phi_W(I) is
     zero iff none of those rows is residual, so no colon is recomputed and
     no localized decomposition is built.
+
+    A residual row r is its own ComplementPattern witness.  It is the image
+    of an original J row, since images of I^[q] rows stay in phi_W(I)^[q]
+    and images of socle rows stay >= beta_Z (the support of phi_W(I)).  It
+    is zero on W and carries q-1 and q (``_residual_rows`` enforces both),
+    and it is not >= beta_Z, so it has a 0 on some variable of
+    supp(beta_Z), a subset of Z.  As beta_Z <= beta zeroed on W, r stays
+    outside the localized I^[q] + ((x^beta)^(q-1)) too.
     """
     inverted = stratum.inverted
     sub = substitute(global_d.base, inverted)
     colon = substitute(global_d.colon.ranks, inverted)
-    if not len(_residual_rows(sub, colon.gens, compute_beta(sub))):
-        outcome = GenerationClass.PRINCIPAL, Certificate.DIRECT
-    elif _has_complement_pattern(global_d, stratum, sub):
-        outcome = GenerationClass.INFINITE, Certificate.COMPLEMENT
-    elif strict:
-        outcome = GenerationClass.UNDETERMINED, Certificate.NONE
-    else:
-        outcome = GenerationClass.INFINITE, Certificate.TRANSFER
-    return StratumVerdict(stratum, *outcome, sub)
-
-
-def _has_complement_pattern(
-    global_d: ColonDecomposition, stratum: Stratum, sub: MonomialIdeal
-) -> bool:
-    """Is there an original J generator whose image on this stratum still
-    carries exponents 0, q-1 and q among the variables of Z and stays outside
-    the localized I^[q] + ((x^beta)^(q-1))?  That is the hypothesis under
-    which infinite generation is certified on the whole stratum.
-
-    Decided on ranks: 0 < q-1 < q for every q >= 2, so divisibility of the
-    rank rows is divisibility of the concrete monomials at q = p.
-    """
-    w = [i - 1 for i in stratum.inverted]
-    z = [i - 1 for i in _indexes(stratum.mask)]
-    images = global_d.j_part.enc.copy()
-    images[:, w] = 0
-    z_ranks = images[:, z]
-    pattern = np.all([(z_ranks == r).any(axis=1) for r in (0, 1, 2)], axis=0)
-    socle = np.array(global_d.beta)
-    socle[w] = 0
-    return len(_residual_rows(sub, images[pattern], socle)) > 0
+    if len(_residual_rows(sub, colon.gens, compute_beta(sub))):
+        return StratumVerdict(stratum, GenerationClass.INFINITE, sub)
+    return StratumVerdict(stratum, GenerationClass.PRINCIPAL, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -230,43 +205,20 @@ def _upward_closure(family: Iterable[int], n: int) -> set[int]:
     return closure
 
 
-def is_open(
-    members: Iterable[Stratum],
-    universe: Sequence[Stratum],
-    undetermined: Iterable[Stratum] = (),
-) -> Openness:
-    """Openness of a union of strata inside the given ambient.
-
-    The union is open iff the complementary index family is upward-closed
-    under Z-inclusion.  Undetermined strata may sit on either side; when the
-    verdict depends on where they land, the answer is Unknown.
+def is_open(members: Iterable[Stratum], universe: Sequence[Stratum]) -> Openness:
+    """Openness of a union of strata inside the given ambient: open iff the
+    complementary index family equals its upward closure under
+    Z-inclusion.
 
     The universe must be upward-closed (every Z-superset of a member is a
     member), as all strata and the strata meeting V(I) are: the closure is
     then walked along single-bit covers, never by scanning the universe.
     """
     n = universe[0].n if universe else 0
-    members = {s.mask for s in members}
-    undet = {s.mask for s in undetermined} - members
-    complement = {s.mask for s in universe} - members - undet
-
-    closure = _upward_closure(complement, n)
-    open_possible = (closure - complement) <= undet
-    if complement == closure:
-        # an undetermined stratum with a strict superset outside the
-        # (upward-closed) complement has a cover outside it
-        notopen_possible = any(
-            s | 1 << i not in complement
-            for s in undet
-            for i in range(n)
-            if not s >> i & 1
-        )
-    else:
-        notopen_possible = True
-
-    if open_possible and notopen_possible:
-        return Openness.UNKNOWN
-    return Openness.OPEN if open_possible else Openness.NOT_OPEN
+    complement = {s.mask for s in universe} - {s.mask for s in members}
+    if complement == _upward_closure(complement, n):
+        return Openness.OPEN
+    return Openness.NOT_OPEN
 
 
 def render_expression(members: Iterable[Stratum], universe: Sequence[Stratum]) -> str:
@@ -330,13 +282,11 @@ def _render_stratum(stratum: Stratum) -> str:
 class LocusReport:
     ideal: MonomialIdeal
     p: int
-    strict: bool
     ambient: str  # "vi" (inside V(I)) or "full"
     verdicts: tuple[StratumVerdict, ...]
     inadmissible: tuple[Stratum, ...]
     u_strata: tuple[Stratum, ...]
     complement_strata: tuple[Stratum, ...]
-    undetermined_strata: tuple[Stratum, ...]
     openness: Openness
     expression_u: str
     expression_complement: str
@@ -354,9 +304,7 @@ _PUBLISHED_DISCREPANCIES: dict[tuple[int, tuple[tuple[int, ...], ...]], str] = {
 }
 
 
-def build_locus(
-    ideal: MonomialIdeal, p: int, strict: bool = False, ambient: str = "vi"
-) -> LocusReport:
+def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusReport:
     """Classify every admissible stratum and decide openness of U.
 
     ambient="vi" works inside V(I) (only admissible strata exist).
@@ -368,13 +316,10 @@ def build_locus(
         raise ValueError(f"ambient must be 'vi' or 'full', got {ambient!r}")
     global_d = decompose(ideal, p)
     admissible = enumerate_strata(ideal)
-    verdicts = tuple(_classify(global_d, s, strict) for s in admissible)
+    verdicts = tuple(_classify(global_d, s) for s in admissible)
 
     u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
     comp = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.INFINITE)
-    undet = tuple(
-        v.stratum for v in verdicts if v.generation is GenerationClass.UNDETERMINED
-    )
 
     if ambient == "vi":
         universe: Sequence[Stratum] = admissible
@@ -384,32 +329,23 @@ def build_locus(
         admitted = set(admissible)
         inadmissible = tuple(s for s in universe if s not in admitted)
 
-    openness = is_open(u, universe, undet)
+    openness = is_open(u, universe)
     expression_u = render_expression(u, universe)
-    expression_complement = render_expression(
-        set(universe) - set(u) - set(undet), universe
-    )
+    expression_complement = render_expression(set(universe) - set(u), universe)
 
     notes = []
     key = (ideal.n, ideal.generators())
     if key in _PUBLISHED_DISCREPANCIES:
         notes.append(_PUBLISHED_DISCREPANCIES[key])
-    if undet:
-        notes.append(
-            "strict mode left strata unresolved; rerun without --strict to "
-            "apply the localized dichotomy"
-        )
 
     return LocusReport(
         ideal=ideal,
         p=p,
-        strict=strict,
         ambient=ambient,
         verdicts=verdicts,
         inadmissible=inadmissible,
         u_strata=u,
         complement_strata=comp,
-        undetermined_strata=undet,
         openness=openness,
         expression_u=expression_u,
         expression_complement=expression_complement,

@@ -173,15 +173,12 @@ def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
 class GenerationClass(enum.Enum):
     PRINCIPAL = "principal"
     INFINITE = "infinite"
-    UNDETERMINED = "undetermined"
 
     @property
     def label(self) -> str:
-        return {
-            GenerationClass.PRINCIPAL: "PrincipallyGenerated",
-            GenerationClass.INFINITE: "InfinitelyGenerated",
-            GenerationClass.UNDETERMINED: "Undetermined",
-        }[self]
+        if self is GenerationClass.PRINCIPAL:
+            return "PrincipallyGenerated"
+        return "InfinitelyGenerated"
 
 
 class DecompositionParts(NamedTuple):

@@ -117,27 +117,14 @@ def complement_pattern_witness(global_d, stratum, sub):
     return None
 
 
-def is_open(members, universe, undetermined=()):
-    """Openness ("open", "not_open" or "unknown") of a union of strata by
-    frozenset inclusion: open iff the complement is upward-closed, unknown
-    when that depends on where the undetermined strata land."""
-    members = set(members)
-    undet = set(undetermined) - members
-    complement = set(universe) - members - undet
+def is_open(members, universe):
+    """Openness ("open" or "not_open") of a union of strata by frozenset
+    inclusion: open iff the complement is upward-closed."""
+    complement = set(universe) - set(members)
     closure = {
         z for z in universe if any(m.in_prime <= z.in_prime for m in complement)
     }
-    open_possible = (closure - complement) <= undet
-    if complement == closure:
-        notopen_possible = any(
-            any(s.in_prime < z.in_prime and z not in complement for z in universe)
-            for s in undet
-        )
-    else:
-        notopen_possible = True
-    if open_possible and notopen_possible:
-        return "unknown"
-    return "open" if open_possible else "not_open"
+    return "open" if complement == closure else "not_open"
 
 
 def render_expression(members, universe):

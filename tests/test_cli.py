@@ -139,13 +139,28 @@ class TestCommands:
         assert classes[(1, 2, 3)] == "infinite"
         assert classes[(2,)] == "principal"
         certs = {r["certificate"] for r in payload["strata"]}
-        assert certs <= {"DirectTheorem", "ComplementPattern", "Transfer", "None"}
+        assert certs <= {"DirectTheorem", "ComplementPattern"}
 
     def test_json_output_is_stable(self, capsys):
         main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--json"])
         first = capsys.readouterr().out
         main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--json"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "ideal",
+        ["x1*x2, x2*x3", "x1*x2*x3, x3*x4", "x1*x2*x3, x3*x4, x4*x5"],
+        ids=["chain3", "chain4", "chain5"],
+    )
+    def test_locus_strict_changes_only_the_mode_word(self, capsys, ideal):
+        def run(*flags):
+            assert main(["locus", ideal, "--p", "2", *flags]) == EXIT_OK
+            return capsys.readouterr().out
+
+        assert run("--strict", "--json") == run("--json")
+        strict, default = run("--strict"), run()
+        assert "mode=strict" in strict and "mode=default" in default
+        assert strict.replace("mode=strict", "mode=default") == default
 
     def test_uprime_text(self, capsys):
         assert main(["uprime", "x1*x2, x2*x3", "--p", "2"]) == EXIT_OK

@@ -22,7 +22,6 @@ from frobloc.locus import (
     render_expression,
     render_u_prime,
     u_prime_strata,
-    _has_complement_pattern,
 )
 from frobloc.monomials import MonomialIdeal, PrimePower, substitute
 from frobloc.oracle import classify_up_to
@@ -127,7 +126,6 @@ class TestBuildLocus:
         assert len(report.u_strata) == 4
         assert report.openness is Openness.OPEN
         assert report.expression_complement == "V((x1,x2,x3))"
-        assert not report.undetermined_strata
 
     def test_principal_everywhere(self):
         ideal = MonomialIdeal([(1, 0)], 2)
@@ -151,16 +149,6 @@ class TestBuildLocus:
         report = build_locus(chain4, 2, ambient="full")
         assert report.openness is Openness.NOT_OPEN
         assert len(report.inadmissible) == 5
-
-    def test_strict_mode_equals_default_on_fixtures(self, chain3, chain4, chain5):
-        for ideal in (chain3, chain4, chain5):
-            default = build_locus(ideal, 2)
-            strict = build_locus(ideal, 2, strict=True)
-            assert not strict.undetermined_strata
-            assert {s.in_prime for s in strict.u_strata} == {
-                s.in_prime for s in default.u_strata
-            }
-            assert strict.openness is default.openness
 
 
 class TestIsOpen:
@@ -190,45 +178,6 @@ class TestIsOpen:
             closed = set(complement) == _brute.upward_closure(complement, keys)
             expected = Openness.OPEN if closed else Openness.NOT_OPEN
             assert is_open(members, universe) is expected
-
-    def test_undetermined_flip(self):
-        universe = all_strata(2)
-        generic = Z(2)
-        maximal = Z(2, 1, 2)
-        # empty set is open; adding only the closed point makes it not open
-        assert is_open([], universe, undetermined=[maximal]) is Openness.UNKNOWN
-        # {generic} is open either way: the possible complements stay closed
-        assert is_open([generic], universe, undetermined=[Z(2, 1)]) is Openness.OPEN
-        # open as-is, but adding x1-only without the closed point breaks it
-        assert (
-            is_open([generic], universe, undetermined=[Z(2, 1), maximal])
-            is Openness.UNKNOWN
-        )
-        # definite complement already fails upward-closure: never open
-        assert is_open([Z(2, 1)], universe, undetermined=[maximal]) is Openness.NOT_OPEN
-
-    def test_undetermined_exhaustive_small(self):
-        # compare the three-way verdict against enumerating every assignment
-        universe = all_strata(3)
-        keys = [tuple(sorted(s.in_prime)) for s in universe]
-        import random
-
-        rng = random.Random(11)
-        for _ in range(200):
-            members = {s for s in universe if rng.random() < 0.4}
-            undet = {s for s in universe if s not in members and rng.random() < 0.3}
-            verdicts = set()
-            undet_list = sorted(undet, key=lambda s: s.mask)
-            for bits in range(1 << len(undet_list)):
-                extra = {
-                    s for k, s in enumerate(undet_list) if bits >> k & 1
-                }
-                family = {tuple(sorted(s.in_prime)) for s in members | extra}
-                complement = [k for k in keys if k not in family]
-                closed = set(complement) == _brute.upward_closure(complement, keys)
-                verdicts.add(Openness.OPEN if closed else Openness.NOT_OPEN)
-            expected = verdicts.pop() if len(verdicts) == 1 else Openness.UNKNOWN
-            assert is_open(members, universe, undet) is expected
 
 
 class TestRenderExpression:
@@ -433,34 +382,42 @@ def test_build_locus_decomposes_once(monkeypatch, chain4):
 # references
 
 
-def _certificate_agrees(global_d, stratum, sub):
-    fast = _has_complement_pattern(global_d, stratum, sub)
-    reference = _brute.complement_pattern_witness(global_d, stratum, sub)
-    assert fast == (reference is not None), (global_d.base, stratum, global_d.p)
-    return fast
+def _witnessed(global_d, verdict):
+    """An infinite verdict carries the ComplementPattern certificate, and the
+    concrete reference search finds its witness.  Returns whether the verdict
+    is infinite.  The converse does not hold: principal strata may have a
+    witness too."""
+    if verdict.generation is GenerationClass.PRINCIPAL:
+        assert verdict.certificate is Certificate.DIRECT
+        return False
+    assert verdict.certificate is Certificate.COMPLEMENT
+    witness = _brute.complement_pattern_witness(
+        global_d, verdict.stratum, verdict.substituted
+    )
+    assert witness is not None, (global_d.base, verdict.stratum, global_d.p)
+    return True
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_complement_pattern_matches_reference_on_every_enumerated_stratum(
     p, squarefree_classes
 ):
-    outcomes = set()
+    infinite = 0
     for n in range(1, 6):
         for ideal, _ in squarefree_classes(n):
             report = build_locus(ideal, p)
             d = report.decomposition
             for v in report.verdicts:
                 assert v.substituted == substitute(ideal, v.stratum.inverted)
-                outcomes.add(_certificate_agrees(d, v.stratum, v.substituted))
-    assert outcomes == {True, False}
+                infinite += _witnessed(d, v)
+    assert infinite > 0
 
 
 @given(ideal_and_stratum(), st.sampled_from([2, 3, 5]))
 @settings(max_examples=80, deadline=None)
 def test_complement_pattern_matches_reference_random(case, p):
     ideal, stratum = case
-    global_d = decompose(ideal, p)
-    _certificate_agrees(global_d, stratum, substitute(ideal, stratum.inverted))
+    _witnessed(decompose(ideal, p), classify_stratum(ideal, p, stratum))
 
 
 def _is_upward_closed(strata):
@@ -479,7 +436,7 @@ def test_strata_universes_are_upward_closed(squarefree_classes):
 @st.composite
 def stratum_families(draw):
     """A universe (all strata, or the strata meeting V(I)) for n <= 5, split
-    into members, undetermined strata and the rest."""
+    into members and the rest."""
     n = draw(st.integers(1, 5))
     if draw(st.booleans()):
         universe = all_strata(n)
@@ -488,17 +445,17 @@ def stratum_families(draw):
         ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
         universe = enumerate_strata(ideal)
     size = len(universe)
-    roles = draw(st.lists(st.sampled_from("mur"), min_size=size, max_size=size))
-    return universe, *([s for s, r in zip(universe, roles) if r == k] for k in "mur")
+    roles = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    members = [s for s, r in zip(universe, roles) if r]
+    return universe, members, [s for s, r in zip(universe, roles) if not r]
 
 
 @given(stratum_families())
 @settings(max_examples=300, deadline=None)
 def test_openness_and_display_match_reference(case):
-    universe, members, undet, rest = case
-    got = is_open(members, universe, undet)
-    assert got.value == _brute.is_open(members, universe, undet)
-    for family in (members, rest, members + undet):
+    universe, members, rest = case
+    assert is_open(members, universe).value == _brute.is_open(members, universe)
+    for family in (members, rest):
         expected = _brute.render_expression(family, universe)
         assert render_expression(family, universe) == expected
 
