@@ -15,7 +15,9 @@ their call, row and pair-operation counts on the end-to-end workloads.
 
 ``minimal_mask`` needs pairwise-distinct rows (duplicate rows would mask
 each other); ``monomials._minimal_rows`` deduplicates with ``numpy.unique``
-before every call.
+before every call.  The sum of two ideals needs neither: both summands are
+already canonical antichains, so it is two ``divides_any`` cross tests and a
+lexsort merge.
 """
 
 from __future__ import annotations

@@ -285,8 +285,6 @@ class LocusReport:
     ambient: str  # "vi" (inside V(I)) or "full"
     verdicts: tuple[StratumVerdict, ...]
     inadmissible: tuple[Stratum, ...]
-    u_strata: tuple[Stratum, ...]
-    complement_strata: tuple[Stratum, ...]
     openness: Openness
     expression_u: str
     expression_complement: str
@@ -319,7 +317,6 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
     verdicts = tuple(_classify(global_d, s) for s in admissible)
 
     u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
-    comp = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.INFINITE)
 
     if ambient == "vi":
         universe: Sequence[Stratum] = admissible
@@ -344,8 +341,6 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
         ambient=ambient,
         verdicts=verdicts,
         inadmissible=inadmissible,
-        u_strata=u,
-        complement_strata=comp,
         openness=openness,
         expression_u=expression_u,
         expression_complement=expression_complement,

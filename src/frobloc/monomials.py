@@ -280,9 +280,25 @@ class MonomialIdeal:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """Sum: the generators of each side that the other side does not cover.
+
+        Both sides are canonical antichains, so a generator of one side is
+        minimal in the sum iff no generator of the other side strictly
+        divides it; a generator of both sides is kept once.  That takes two
+        divisibility cross tests and a lexsort merge, no minimalization.
+        """
         self._same_ambient(other)
-        stacked = np.vstack([self.gens, other.gens])
-        return MonomialIdeal.from_matrix(stacked, self.n)
+        # drops the rows of other that equal a row of self, too
+        theirs = other.gens[~_kernels.divides_any(self.gens, other.gens)]
+        if theirs.shape[0] == 0:
+            return self
+        # a strict divisor in other survives the filter above: whatever
+        # divided it would also divide a generator of self
+        ours = self.gens[~_kernels.divides_any(theirs, self.gens)]
+        if ours.shape[0] == 0:
+            return other
+        rows = np.concatenate([ours, theirs])
+        return MonomialIdeal._from_canonical(rows[np.lexsort(rows.T[::-1])], self.n)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ambient(other)
@@ -302,26 +318,32 @@ class MonomialIdeal:
         a, b = self.gens, other.gens
         if a.shape[0] == 0 or b.shape[0] == 0:
             return MonomialIdeal.zero(self.n)
-        _check_budget(a.shape[0] * b.shape[0])
-        lcms = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, self.n)
-        return MonomialIdeal.from_matrix(lcms, self.n)
+        return MonomialIdeal._from_canonical(_lcm_rows(a, b, self.n), self.n)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other) = {m | m*g in self for every generator g of other}.
 
-        Computed as the intersection over generators g of (self : g), where
-        (self : x^g) is generated by lcm(h, x^g)/x^g over generators h.
+        The intersection over generators g of (self : x^g), which is
+        generated by the quotients lcm(h, x^g)/x^g over generators h.  Each
+        step minimalizes once, over the lcms of the running antichain with
+        the raw quotients: the lcms with a non-minimal quotient are divisible
+        by those with a minimal quotient below it, so they drop out.
         """
         self._same_ambient(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal is undefined here")
-        result: "MonomialIdeal | None" = None
+        result: "np.ndarray | None" = None
         for g in other.gens:
             quotients = np.maximum(self.gens, g) - g
-            single = MonomialIdeal.from_matrix(quotients, self.n)
-            result = single if result is None else result & single
-        assert result is not None
-        return result
+            if result is None:
+                result = _minimal_rows(quotients)
+            elif result.shape[0]:
+                if result.shape[0] * quotients.shape[0] > generator_budget():
+                    # the budget counts the minimal quotients; only a step
+                    # over it with the raw ones pays for finding them
+                    quotients = _minimal_rows(quotients)
+                result = _lcm_rows(result, quotients, self.n)
+        return MonomialIdeal._from_canonical(result, self.n)
 
     def frobenius_power(self, q: "int | PrimePower") -> "MonomialIdeal":
         """Generated by the q-th powers of the generators, q = p^e."""
@@ -335,6 +357,14 @@ class MonomialIdeal:
             raise OverflowError(f"q={qv} exceeds the int64 guard")
         # scaling an antichain is an antichain; rows stay sorted
         return MonomialIdeal._from_canonical(self.gens * np.int64(qv), self.n)
+
+
+def _lcm_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Canonical minimal lcms of the rows of a with the rows of b; the pair
+    count is checked against the generator budget before any lcm is formed."""
+    _check_budget(a.shape[0] * b.shape[0])
+    lcms = np.maximum(a[:, None, :], b[None, :, :]).reshape(-1, n)
+    return _minimal_rows(lcms)
 
 
 def _minimal_rows(matrix: np.ndarray) -> np.ndarray:

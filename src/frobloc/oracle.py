@@ -15,6 +15,9 @@ generators beyond the lower degrees exactly when F_e exceeds L_e modulo
 I^[p^e].  Everything here is computed at concrete q with plain ideal
 arithmetic; no symbolic machinery is shared with the classifier, which is
 what makes this an independent cross-check.
+
+Past the products, L_e and the reachable part L_e + I^[q] cost only sums of
+canonical antichains: two divisibility cross tests and a merge each.
 """
 
 from __future__ import annotations

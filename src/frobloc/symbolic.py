@@ -44,9 +44,6 @@ class SymExp(NamedTuple):
     a: int
     b: int
 
-    def at(self, q: int) -> int:
-        return self.a * q + self.b
-
 
 # the exponent of each rank, as an affine form a*q + b and as printed
 _RANK_FORMS = (SymExp(0, 0), SymExp(1, -1), SymExp(1, 0))

@@ -2,10 +2,16 @@
 
 Everything here works on plain tuples with definitional algorithms (no
 numpy, no shared kernels) so the checks stay independent of the code paths
-they validate.
+they validate.  The one exception is the section of replaced library paths:
+earlier, slower forms of ideal operations, kept so that the fast paths that
+replaced them can be compared against them on whole ideals.
 """
 
 from itertools import permutations, product
+
+import numpy as np
+
+from frobloc.monomials import MonomialIdeal
 
 
 def divides(a, b):
@@ -91,9 +97,51 @@ def compositions_l(f_gens, p, e):
 
 
 # ---------------------------------------------------------------------------
+# replaced library paths: the sum as one re-minimalization of both generator
+# matrices, the colon as an intersection of minimalized single quotients, and
+# the F_e/L_e oracle built from the two
+
+
+def ideal_sum(i, j):
+    """i + j: stack both generator matrices and minimalize the stack."""
+    return MonomialIdeal.from_matrix(np.vstack([i.gens, j.gens]), i.n)
+
+
+def ideal_colon(j, i):
+    """(j : i) as the intersection over generators g of i of (j : x^g), each
+    minimalized on its own before it is intersected."""
+    result = None
+    for g in i.gens:
+        single = MonomialIdeal.from_matrix(np.maximum(j.gens, g) - g, j.n)
+        result = single if result is None else result & single
+    return result
+
+
+def oracle_profile(ideal, p, max_e):
+    """(F_e, L_e, needs_new) for e = 1 .. max_e through the replaced paths:
+    F_e = (I^[q] : I), L_e = sum_k F_k * F_{e-k}^[p^k], and degree e needs
+    new generators iff F_e differs from L_e + I^[q]."""
+    fs, ls, flags = [], [], []
+    for e in range(1, max_e + 1):
+        power = ideal.frobenius_power(p**e)
+        fs.append(ideal_colon(power, ideal))
+        total = MonomialIdeal.zero(ideal.n)
+        for k in range(1, e):
+            total = ideal_sum(total, fs[k - 1] * fs[e - k - 1].frobenius_power(p**k))
+        ls.append(total)
+        flags.append(fs[-1] != ideal_sum(total, power))
+    return tuple(fs), tuple(ls), tuple(flags)
+
+
+# ---------------------------------------------------------------------------
 # stratum-level references: frozensets of variable indexes and concrete
 # exponents at q = p, read from the library's objects through their public
 # fields only
+
+
+def at(exp, q):
+    """A symbolic exponent a*q + b evaluated at a concrete q."""
+    return exp.a * q + exp.b
 
 
 def complement_pattern_witness(global_d, stratum, sub):
@@ -109,7 +157,7 @@ def complement_pattern_witness(global_d, stratum, sub):
     )
     localized_sum = [tuple(p * c for c in g) for g in sub.generators()] + [socle]
     for term in global_d.j_part.terms():
-        image = tuple(0 if i in w else e.at(p) for i, e in enumerate(term, 1))
+        image = tuple(0 if i in w else at(e, p) for i, e in enumerate(term, 1))
         if {image[i - 1] for i in z} >= {0, p - 1, p} and not contains(
             localized_sum, image
         ):

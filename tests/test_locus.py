@@ -28,6 +28,20 @@ from frobloc.oracle import classify_up_to
 from frobloc.symbolic import GenerationClass, compute_u_prime, decompose
 
 
+def _principal(report):
+    """The strata of a locus report whose verdict is principal: U."""
+    return tuple(
+        v.stratum for v in report.verdicts if v.generation is GenerationClass.PRINCIPAL
+    )
+
+
+def _infinite(report):
+    """The strata of a locus report whose verdict is infinite."""
+    return tuple(
+        v.stratum for v in report.verdicts if v.generation is GenerationClass.INFINITE
+    )
+
+
 def Z(n, *vars_):
     return Stratum(n, sum(1 << (i - 1) for i in vars_))
 
@@ -120,23 +134,23 @@ class TestClassifyStratum:
 class TestBuildLocus:
     def test_chain3_report(self, chain3):
         report = build_locus(chain3, 2)
-        assert {s.in_prime for s in report.complement_strata} == {
+        assert {s.in_prime for s in _infinite(report)} == {
             frozenset({1, 2, 3})
         }
-        assert len(report.u_strata) == 4
+        assert len(_principal(report)) == 4
         assert report.openness is Openness.OPEN
         assert report.expression_complement == "V((x1,x2,x3))"
 
     def test_principal_everywhere(self):
         ideal = MonomialIdeal([(1, 0)], 2)
         report = build_locus(ideal, 3)
-        assert not report.complement_strata
-        assert len(report.u_strata) == len(report.verdicts)
+        assert not _infinite(report)
+        assert len(_principal(report)) == len(report.verdicts)
         assert report.openness is Openness.OPEN
 
     def test_chain4_derived_table(self, chain4):
         report = build_locus(chain4, 2)
-        assert {s.in_prime for s in report.complement_strata} == {
+        assert {s.in_prime for s in _infinite(report)} == {
             frozenset({1, 3, 4}),
             frozenset({2, 3, 4}),
             frozenset({1, 2, 3, 4}),
@@ -160,7 +174,7 @@ class TestIsOpen:
         # the locus is a union of strata inside the proper closed set V(I)
         report = build_locus(chain4, 2)
         universe = all_strata(4)
-        assert is_open(report.u_strata, universe) is Openness.NOT_OPEN
+        assert is_open(_principal(report), universe) is Openness.NOT_OPEN
 
     def test_complement_of_closed_point_is_open(self):
         universe = all_strata(3)
@@ -214,7 +228,7 @@ class TestUPrimeRegion:
         annihilator = compute_u_prime(decompose(chain3, 2))
         u_prime = set(u_prime_strata(chain3, annihilator))
         report = build_locus(chain3, 2)
-        u = set(report.u_strata)
+        u = set(_principal(report))
         assert u_prime < u
         assert Z(3, 2) in u and Z(3, 2) not in u_prime
 
@@ -251,7 +265,7 @@ def test_substitute_colon_commutation(p, e, chain3, chain4, chain5):
 def test_infinite_family_upward_closed(chain3, chain4):
     for ideal in (chain3, chain4):
         report = build_locus(ideal, 2)
-        family = {s.in_prime for s in report.complement_strata}
+        family = {s.in_prime for s in _infinite(report)}
         admissible = {s.in_prime for s in enumerate_strata(ideal)}
         for z in family:
             for z2 in admissible:

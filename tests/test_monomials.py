@@ -219,6 +219,40 @@ def test_resource_limit(monkeypatch, chain3):
         big * big
 
 
+@pytest.mark.parametrize(
+    "gens,budget,message",
+    [
+        # path on 5 variables, square-free: every quotient is minimal
+        (
+            [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)],
+            31,
+            "intermediate generator count 32 exceeds the bound 31",
+        ),
+        # (x1, x2)^3: 4 quotients per step, 3 minimal; the bound counts those
+        ([(3, 0), (2, 1), (1, 2), (0, 3)], 15, None),
+        (
+            [(3, 0), (2, 1), (1, 2), (0, 3)],
+            14,
+            "intermediate generator count 15 exceeds the bound 14",
+        ),
+        # (x1, x2, x3)^2: the last step has 90 raw but 45 minimal pairs
+        ([(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)], 54, None),
+    ],
+    ids=["path5-over", "cube2-at-bound", "cube2-over", "square3-raw-over"],
+)
+def test_colon_budget_counts_minimal_quotients(monkeypatch, gens, budget, message):
+    ideal = MonomialIdeal(gens)
+    power = ideal.frobenius_power(2)
+    monkeypatch.setenv("FROBLOC_MAX_GENS", str(budget))
+    if message is None:
+        assert power.colon(ideal) == _brute.ideal_colon(power, ideal)
+        return
+    for colon in (power.colon, lambda i: _brute.ideal_colon(power, i)):
+        with pytest.raises(ResourceLimit) as caught:
+            colon(ideal)
+        assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
 def test_malformed_budget_rejected(monkeypatch, raw):
     monkeypatch.setenv("FROBLOC_MAX_GENS", raw)
@@ -285,6 +319,39 @@ def test_sum_intersect_membership(data):
             in_i, in_j = probe in i, probe in j
             assert (probe in s) == (in_i or in_j)
             assert (probe in meet) == (in_i and in_j)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(n, gens_i, gens_j) with exponents up to 3; j reuses some of i's
+    generators, and either side may be replaced by the zero or the unit ideal."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vectors = st.tuples(*[st.integers(0, 3)] * n)
+    a = draw(st.lists(vectors, min_size=1, max_size=4))
+    b = draw(st.lists(vectors, max_size=3)) + draw(
+        st.lists(st.sampled_from(a), max_size=2)
+    )
+    special = {"zero": [], "unit": [(0,) * n]}
+    kinds = st.sampled_from(["zero", "unit"] + ["drawn"] * 4)
+    return n, special.get(draw(kinds), a), special.get(draw(kinds), b)
+
+
+@given(operand_pairs())
+@settings(max_examples=200, deadline=None)
+def test_sum_and_colon_match_definitions(data):
+    n, a, b = data
+    i = MonomialIdeal(a, n)
+    j = MonomialIdeal(b, n)
+    total = i + j
+    assert list(total.generators()) == _brute.minimalize(a + b)
+    assert total == _brute.ideal_sum(i, j)
+    if i.is_zero():
+        with pytest.raises(ValueError):
+            j.colon(i)
+        return
+    quotient = j.colon(i)
+    assert list(quotient.generators()) == _brute.colon(j.generators(), i.generators(), n)
+    assert quotient == _brute.ideal_colon(j, i)
 
 
 @given(gen_sets(max_gens=4), st.sampled_from([2, 3, 4, 5, 8, 9]))

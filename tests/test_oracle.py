@@ -149,6 +149,17 @@ class TestClassifyUpTo:
             classify_up_to(chain5, 2, 3)
 
 
+@pytest.mark.parametrize("p,max_e", [(2, 3), (3, 2)])
+def test_oracle_matches_replaced_paths_on_every_class(p, max_e, squarefree_classes):
+    for n in range(1, 6):
+        for ideal, _ in squarefree_classes(n):
+            profile = classify_up_to(ideal, p, max_e)
+            fs, ls, flags = _brute.oracle_profile(ideal, p, max_e)
+            assert profile.f_ideals == fs, ideal
+            assert profile.l_ideals == ls, ideal
+            assert profile.needs_new == flags, ideal
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
