@@ -15,7 +15,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import DegenerateIdeal, FroblocError, ResourceLimit
 from .locus import (
@@ -52,31 +51,11 @@ class ParseError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class IdealExpression:
-    """Parsed textual ideal: a variable count and raw exponent vectors."""
-
-    n: int
-    generators: tuple[tuple[int, ...], ...]
-
-    def to_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self.generators, self.n)
-
-    def render(self) -> str:
-        def gen_text(exps):
-            factors = []
-            for i, c in enumerate(exps, start=1):
-                factors.extend([f"x{i}"] * c)
-            return "*".join(factors) if factors else "1"
-
-        return ", ".join(gen_text(g) for g in self.generators)
-
-
 _TOKEN = re.compile(r"x([0-9]+)")
 
 
-def parse_ideal(text: str, variables: "int | None" = None) -> IdealExpression:
-    """Parse "x1*x2, x2*x3" into exponent vectors.
+def parse_ideal(text: str, variables: "int | None" = None) -> MonomialIdeal:
+    """Parse "x1*x2, x2*x3" into the ideal those monomials generate.
 
     The ambient size is the largest index seen unless ``variables`` pins it.
     Malformed tokens report their position in the original string.
@@ -125,13 +104,10 @@ def parse_ideal(text: str, variables: "int | None" = None) -> IdealExpression:
                 0,
             )
         n = variables
-    gens = tuple(
-        tuple(g.get(i, 0) for i in range(1, n + 1)) for g in raw_gens
-    )
-    return IdealExpression(n, gens)
+    return MonomialIdeal([[g.get(i, 0) for i in range(1, n + 1)] for g in raw_gens], n)
 
 
-def _read_ideal_argument(args) -> IdealExpression:
+def _read_ideal_argument(args) -> MonomialIdeal:
     text = args.ideal
     if text == "-":
         text = sys.stdin.read()
@@ -158,8 +134,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_colon(args) -> int:
-    expr = _read_ideal_argument(args)
-    ideal = expr.to_ideal()
+    ideal = _read_ideal_argument(args)
     power = PrimePower(args.p, args.e)
     result = ideal.frobenius_power(power).colon(ideal)
     payload = {
@@ -198,8 +173,7 @@ def _decomposition_text(d: ColonDecomposition) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    expr = _read_ideal_argument(args)
-    ideal = expr.to_ideal()
+    ideal = _read_ideal_argument(args)
     d = decompose(ideal, args.p)
     payload = {
         "n": ideal.n,
@@ -215,8 +189,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    expr = _read_ideal_argument(args)
-    ideal = expr.to_ideal()
+    ideal = _read_ideal_argument(args)
     d = decompose(ideal, args.p)
     payload = {
         "n": ideal.n,
@@ -234,8 +207,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_uprime(args) -> int:
-    expr = _read_ideal_argument(args)
-    ideal = expr.to_ideal()
+    ideal = _read_ideal_argument(args)
     d = decompose(ideal, args.p)
     annihilator = compute_u_prime(d)
     payload = {
@@ -279,8 +251,7 @@ def _locus_text(report: LocusReport, args) -> str:
 
 
 def _cmd_locus(args) -> int:
-    expr = _read_ideal_argument(args)
-    ideal = expr.to_ideal()
+    ideal = _read_ideal_argument(args)
     report = build_locus(ideal, args.p, ambient=args.ambient)
     payload = {
         "n": ideal.n,
@@ -342,8 +313,7 @@ def _disagreements(
 
 
 def _cmd_oracle(args) -> int:
-    expr = _read_ideal_argument(args)
-    ideal = expr.to_ideal()
+    ideal = _read_ideal_argument(args)
     if ideal.is_zero() or ideal.is_unit():
         raise DegenerateIdeal("oracle needs a proper nonzero ideal")
     profile = classify_up_to(ideal, args.p, args.max_e)

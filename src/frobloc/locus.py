@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InadmissibleStratum, ResourceLimit
 from .monomials import MonomialIdeal, exponents_to_mask, format_monomial, substitute
@@ -114,6 +115,12 @@ def is_admissible(ideal: MonomialIdeal, stratum: Stratum) -> bool:
 MAX_STRATA_VARS = 24
 
 
+# build_locus keeps a verdict per admissible stratum: x1*x16 (49152 strata)
+# takes over 20 s and ~100 MiB on a 2-core host; path and cycle ideals on up to
+# 24 variables (121393 and 103682 strata) stay below the bound
+MAX_STRATA = 1 << 17
+
+
 def _check_strata_vars(n: int) -> None:
     if n > MAX_STRATA_VARS:
         raise ResourceLimit(
@@ -127,19 +134,21 @@ def all_strata(n: int) -> list[Stratum]:
     return [Stratum(n, m) for m in range(1 << n)]
 
 
+def _admissible_masks(ideal: MonomialIdeal) -> Iterator[int]:
+    """The Z-masks of the strata meeting V(I), ascending, as a lazy scan;
+    the MAX_STRATA_VARS bound is checked at the call."""
+    _check_strata_vars(ideal.n)
+    support = _support_masks(ideal)
+    return (z for z in range(1 << ideal.n) if all(g & z for g in support))
+
+
 def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
     """The strata meeting V(I), ordered by Z-mask; ``all_strata(n)`` gives
     every stratum.
 
     Raises ResourceLimit beyond MAX_STRATA_VARS variables.
     """
-    _check_strata_vars(ideal.n)
-    support = _support_masks(ideal)
-    return [
-        Stratum(ideal.n, z)
-        for z in range(1 << ideal.n)
-        if all(g & z for g in support)
-    ]
+    return [Stratum(ideal.n, z) for z in _admissible_masks(ideal)]
 
 
 def classify_stratum(ideal: MonomialIdeal, p: int, stratum: Stratum) -> StratumVerdict:
@@ -309,11 +318,21 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
     ambient="full" keeps all 2^n strata: U, a union of strata inside the
     proper closed set V(I), is then compared against the whole spectrum, and
     the inadmissible strata (which miss V(I)) count towards its complement.
+
+    Raises ResourceLimit beyond MAX_STRATA_VARS variables or MAX_STRATA
+    admissible strata.
     """
     if ambient not in ("vi", "full"):
         raise ValueError(f"ambient must be 'vi' or 'full', got {ambient!r}")
     global_d = decompose(ideal, p)
-    admissible = enumerate_strata(ideal)
+    # stop the scan at the bound rather than list every admissible stratum
+    masks = list(islice(_admissible_masks(ideal), MAX_STRATA + 1))
+    if len(masks) > MAX_STRATA:
+        raise ResourceLimit(
+            f"more than {MAX_STRATA} strata meet V(I); at most {MAX_STRATA} "
+            "are classified"
+        )
+    admissible = [Stratum(ideal.n, z) for z in masks]
     verdicts = tuple(_classify(global_d, s) for s in admissible)
 
     u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)

@@ -114,31 +114,6 @@ class PrimePower:
     def q(self) -> int:
         return self.p**self.e
 
-    @classmethod
-    def from_q(cls, q: int) -> "PrimePower":
-        if q < 2:
-            raise ValueError(f"q={q} is not a prime power >= 2")
-        # largest e first, so a huge q = p^e never reaches is_prime(q)
-        for e in range(q.bit_length() - 1, 0, -1):
-            root = _integer_root(q, e)
-            if root**e == q and is_prime(root):
-                return cls(root, e)
-        raise ValueError(f"q={q} is not a prime power")
-
-
-def _integer_root(n: int, e: int) -> int:
-    """floor(n ** (1/e)) for n >= 1, by integer Newton steps from above."""
-    x = 1 << -(-n.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + n // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
-def _coerce_power(q: "int | PrimePower") -> PrimePower:
-    return q if isinstance(q, PrimePower) else PrimePower.from_q(q)
-
 
 # ---------------------------------------------------------------------------
 # monomial-level helpers
@@ -345,9 +320,9 @@ class MonomialIdeal:
                 result = _lcm_rows(result, quotients, self.n)
         return MonomialIdeal._from_canonical(result, self.n)
 
-    def frobenius_power(self, q: "int | PrimePower") -> "MonomialIdeal":
-        """Generated by the q-th powers of the generators, q = p^e."""
-        power = _coerce_power(q)
+    def frobenius_power(self, power: PrimePower) -> "MonomialIdeal":
+        """I^[q]: generated by the q-th powers of the generators, for
+        ``power = PrimePower(p, e)`` and q = p^e."""
         if power.e >= 62:  # q >= 2^e; refuse before computing p^e
             raise OverflowError(f"q = {power.p}^{power.e} exceeds the int64 guard")
         qv = power.q

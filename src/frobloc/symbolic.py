@@ -18,7 +18,8 @@ ranks, the instance at q = 2: uniform divisibility, lcm and minimalization
 are those of ``MonomialIdeal``, and the symbolic colon is the concrete colon
 at q = 2.  The affine form a*q + b (``SymExp``) appears only at the
 boundary, in construction and ``terms()``; ``render()`` prints each rank
-through a fixed suffix: none, ``^(q-1)`` or ``^q``.
+through a fixed suffix: none, ``^(q-1)`` or ``^q``.  For the same reason
+I^[2] is the rank image of I^[q]: a 0/1 generator scales to ranks 0 and 2.
 
 One residual-row test (``_residual_rows``: rank rows outside I^[2] and not
 above beta) cuts J out of the colon here, and decides each stratum in
@@ -49,6 +50,8 @@ class SymExp(NamedTuple):
 _RANK_FORMS = (SymExp(0, 0), SymExp(1, -1), SymExp(1, 0))
 _FORM_RANK = {form: rank for rank, form in enumerate(_RANK_FORMS)}
 _RANK_SUFFIX = ("", "^(q-1)", "^q")
+# q = 2: I^[2] is the rank image of I^[q] for a square-free I
+_Q2 = PrimePower(2, 1)
 
 
 @dataclass(frozen=True, init=False)
@@ -164,7 +167,7 @@ def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
     """
     validate_square_free(ideal)
     require_prime(p)
-    return SymbolicIdeal._of(ideal.frobenius_power(2).colon(ideal))
+    return SymbolicIdeal._of(ideal.frobenius_power(_Q2).colon(ideal))
 
 
 class GenerationClass(enum.Enum):
@@ -239,7 +242,7 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
     beta = compute_beta(ideal)
     rows = sym.enc
     # a subset of a canonical antichain is canonical
-    frob = rows[ideal.frobenius_power(2).contains_each(rows)]
+    frob = rows[ideal.frobenius_power(_Q2).contains_each(rows)]
     j = _residual_rows(ideal, rows, beta)
     return ColonDecomposition(
         ideal,
@@ -261,7 +264,7 @@ def _residual_rows(
     Residual generators always carry a q and a q-1 exponent simultaneously;
     a residual row without both raises FroblocError.
     """
-    rows = rows[~ideal.frobenius_power(2).contains_each(rows)]
+    rows = rows[~ideal.frobenius_power(_Q2).contains_each(rows)]
     rows = rows[~(rows >= np.asarray(beta)).all(axis=1)]
     pattern = (rows == 1).any(axis=1) & (rows == 2).any(axis=1)
     if not pattern.all():

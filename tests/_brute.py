@@ -11,7 +11,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from frobloc.monomials import MonomialIdeal
+from frobloc.monomials import MonomialIdeal, PrimePower
 
 
 def divides(a, b):
@@ -123,11 +123,12 @@ def oracle_profile(ideal, p, max_e):
     new generators iff F_e differs from L_e + I^[q]."""
     fs, ls, flags = [], [], []
     for e in range(1, max_e + 1):
-        power = ideal.frobenius_power(p**e)
+        power = ideal.frobenius_power(PrimePower(p, e))
         fs.append(ideal_colon(power, ideal))
         total = MonomialIdeal.zero(ideal.n)
         for k in range(1, e):
-            total = ideal_sum(total, fs[k - 1] * fs[e - k - 1].frobenius_power(p**k))
+            shifted = fs[e - k - 1].frobenius_power(PrimePower(p, k))
+            total = ideal_sum(total, fs[k - 1] * shifted)
         ls.append(total)
         flags.append(fs[-1] != ideal_sum(total, power))
     return tuple(fs), tuple(ls), tuple(flags)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from frobloc import symbolic
+from frobloc import locus, symbolic
 from frobloc.errors import InadmissibleStratum, ResourceLimit
 from frobloc.locus import (
     MAX_STRATA_VARS,
@@ -158,6 +158,16 @@ class TestBuildLocus:
         assert report.openness is Openness.OPEN
         assert report.expression_complement == "V((x1,x3,x4)) ∪ V((x2,x3,x4))"
         assert any("D(x1*x3*x4)" in note for note in report.notes)
+
+    def test_admissible_strata_bound(self, chain3, monkeypatch):
+        # Z contains x2, or Z = {1, 3}: five strata meet V(I)
+        monkeypatch.setattr(locus, "MAX_STRATA", 5)
+        assert len(build_locus(chain3, 2).verdicts) == 5
+        monkeypatch.setattr(locus, "MAX_STRATA", 4)
+        with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
+            build_locus(chain3, 2)
+        # listing the strata is not bounded
+        assert len(enumerate_strata(chain3)) == 5
 
     def test_chain4_full_ambient_lift_not_open(self, chain4):
         report = build_locus(chain4, 2, ambient="full")

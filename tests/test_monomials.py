@@ -13,8 +13,7 @@ from frobloc.monomials import MonomialIdeal, PrimePower, generator_budget, is_pr
 class TestPrimePower:
     def test_valid(self):
         assert PrimePower(2, 3).q == 8
-        assert PrimePower.from_q(49) == PrimePower(7, 2)
-        assert PrimePower.from_q(3) == PrimePower(3, 1)
+        assert PrimePower(7, 2).q == 49
 
     @pytest.mark.parametrize("p,e", [(4, 1), (1, 1), (2, 0), (6, 2)])
     def test_invalid(self, p, e):
@@ -23,37 +22,20 @@ class TestPrimePower:
 
     @pytest.mark.parametrize("q", [1, 0, 6, 12, 100])
     def test_from_q_rejects_non_prime_powers(self, q):
+        # q = p^1 is a PrimePower only for a prime q
         with pytest.raises(ValueError):
-            PrimePower.from_q(q)
-
-    def test_from_q_matches_factorization(self):
-        def by_division(q):
-            p = next(d for d in range(2, q + 1) if q % d == 0)
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-
-        for q in range(2, 3000):
-            try:
-                found = PrimePower.from_q(q)
-            except ValueError:
-                found = None
-            assert (None if found is None else (found.p, found.e)) == by_division(q)
+            PrimePower(q, 1)
 
     def test_from_q_large_prime_is_fast(self):
         start = time.perf_counter()
-        power = MonomialIdeal([(1, 1)]).frobenius_power(2**61 - 1)
+        power = MonomialIdeal([(1, 1)]).frobenius_power(PrimePower(2**61 - 1, 1))
         assert power.generators() == ((2**61 - 1, 2**61 - 1),)
-        assert PrimePower.from_q(2**200) == PrimePower(2, 200)
-        assert PrimePower.from_q((2**61 - 1) ** 3) == PrimePower(2**61 - 1, 3)
         assert time.perf_counter() - start < 1.0
 
     def test_from_q_rejects_large_semiprime_quickly(self):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="not a prime power"):
-            PrimePower.from_q(1099511627791 * 1099511627803)  # primes near 2^40
+        with pytest.raises(ValueError, match="not prime"):
+            PrimePower(1099511627791 * 1099511627803, 1)  # primes near 2^40
         assert time.perf_counter() - start < 1.0
 
     def test_is_prime(self):
@@ -164,11 +146,12 @@ class TestIdealAlgebra:
 
 class TestFrobeniusPower:
     def test_scaling(self, chain3):
-        assert chain3.frobenius_power(2) == MonomialIdeal([(2, 2, 0), (0, 2, 2)])
+        square = chain3.frobenius_power(PrimePower(2, 1))
+        assert square == MonomialIdeal([(2, 2, 0), (0, 2, 2)])
 
     def test_q_one_rejected(self, chain3):
         with pytest.raises(ValueError):
-            chain3.frobenius_power(1)
+            chain3.frobenius_power(PrimePower(2, 0))
 
     def test_composition(self, chain3):
         lhs = chain3.frobenius_power(PrimePower(2, 1)).frobenius_power(PrimePower(2, 1))
@@ -193,7 +176,7 @@ class TestFrobeniusPower:
 
 class TestColon:
     def test_derived_example(self, chain3):
-        j = chain3.frobenius_power(2)
+        j = chain3.frobenius_power(PrimePower(2, 1))
         expected = _brute.colon(j.generators(), chain3.generators(), 3)
         assert expected == [(0, 1, 2), (1, 1, 1), (2, 1, 0)]
         assert list(j.colon(chain3).generators()) == expected
@@ -242,7 +225,7 @@ def test_resource_limit(monkeypatch, chain3):
 )
 def test_colon_budget_counts_minimal_quotients(monkeypatch, gens, budget, message):
     ideal = MonomialIdeal(gens)
-    power = ideal.frobenius_power(2)
+    power = ideal.frobenius_power(PrimePower(2, 1))
     monkeypatch.setenv("FROBLOC_MAX_GENS", str(budget))
     if message is None:
         assert power.colon(ideal) == _brute.ideal_colon(power, ideal)
@@ -354,12 +337,19 @@ def test_sum_and_colon_match_definitions(data):
     assert quotient == _brute.ideal_colon(j, i)
 
 
-@given(gen_sets(max_gens=4), st.sampled_from([2, 3, 4, 5, 8, 9]))
+# q in {2, 3, 4, 5, 8, 9}
+_POWERS = [
+    PrimePower(p, e) for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+]
+
+
+@given(gen_sets(max_gens=4), st.sampled_from(_POWERS))
 @settings(max_examples=60)
-def test_frobenius_membership(data, q):
+def test_frobenius_membership(data, prime_power):
     n, gens = data
     ideal = MonomialIdeal(gens, n)
-    power = ideal.frobenius_power(q)
+    q = prime_power.q
+    power = ideal.frobenius_power(prime_power)
     for g in ideal.generators():
         scaled = tuple(q * c for c in g)
         off = tuple(max(0, q * c - 1) for c in g)

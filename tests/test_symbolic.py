@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from frobloc.errors import DegenerateIdeal, SquareFreeViolation
+from frobloc.errors import DegenerateIdeal, FroblocError, SquareFreeViolation
 from frobloc.monomials import MonomialIdeal, PrimePower, substitute
 from frobloc.symbolic import (
     GenerationClass,
     SymbolicIdeal,
     SymExp,
+    _residual_rows,
     colon_symbolic,
     compute_beta,
     compute_u_prime,
@@ -102,9 +103,9 @@ class TestColonSymbolic:
         ideal = MonomialIdeal([(1, 0), (0, 1)])
         sym = colon_symbolic(ideal, 2)
         assert sym == SymbolicIdeal([[Q, Z], [QM1, QM1], [Z, Q]], 2)
-        for q in (2, 4):
-            concrete = ideal.frobenius_power(q).colon(ideal)
-            assert sym.instantiate(q) == concrete
+        for e in (1, 2):
+            concrete = ideal.frobenius_power(PrimePower(2, e)).colon(ideal)
+            assert sym.instantiate(2**e) == concrete
 
     def test_chain3_minimal_generators(self, chain3):
         sym = colon_symbolic(chain3, 2)
@@ -155,6 +156,11 @@ class TestDecompose:
             (QM1, QM1, QM1, Q, Z),
             (QM1, Q, QM1, QM1, Z),
         )
+
+    def test_residual_row_without_both_ranks_is_rejected(self):
+        # x1^q is outside (x1*x2)^[q] and not above beta, but has no q-1
+        with pytest.raises(FroblocError, match="q/q-1 pattern"):
+            _residual_rows(MonomialIdeal([(1, 1)]), np.array([[2, 0]]), (1, 1))
 
 
 class TestInstantiate:
