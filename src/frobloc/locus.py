@@ -8,13 +8,13 @@ localized algebra is that of the substituted ideal phi_W(I), and the
 principal/infinite dichotomy is constant on each stratum.  The locus U of
 primes with finitely generated algebra is therefore a union of strata, and
 its openness is a purely combinatorial question: a union of strata is
-closed iff its index family is upward-closed under Z-inclusion.  Each
-stratum is decided from the ideal's one global decomposition: its colon
-rows are substituted at W and J_Z = 0 iff none of them is residual, so no
-per-stratum decomposition is built; the verdict keeps only phi_W(I)
-(``substituted``).  Both universes in use, all strata and the strata
-meeting V(I), are upward-closed, so openness and the display walk
-single-bit covers z | 1 << i.
+closed iff its index family is upward-closed under Z-inclusion.  One
+classifier, ``classify_stratum``, decides each stratum from the ideal's one
+global decomposition: its colon rows are substituted at W and J_Z = 0 iff
+none of them is residual; the verdict keeps only phi_W(I) (``substituted``).
+Two lists give the strata, ``all_strata(n)`` and ``enumerate_strata(I)``
+(those meeting V(I)), both bounded by MAX_STRATA.  Both are upward-closed,
+so openness and the display walk single-bit covers z | 1 << i.
 
 A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
 it.  Z-inclusion a <= b is then ``a & ~b == 0``, and a stratum meets V(I)
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InadmissibleStratum, ResourceLimit
 from .monomials import MonomialIdeal, exponents_to_mask, format_monomial, substitute
@@ -36,7 +36,6 @@ from .symbolic import (
     _residual_rows,
     compute_beta,
     decompose,
-    validate_square_free,
 )
 
 
@@ -105,19 +104,15 @@ class StratumVerdict:
         return Certificate.COMPLEMENT
 
 
-def is_admissible(ideal: MonomialIdeal, stratum: Stratum) -> bool:
-    """Does the stratum meet V(I), i.e. does every generator hit Z."""
-    return all(g & stratum.mask for g in _support_masks(ideal))
-
-
 # the strata are enumerated one by one, 2^n of them; the scan alone takes
 # seconds at n = 22 and grows about 4x per two variables
 MAX_STRATA_VARS = 24
 
 
-# build_locus keeps a verdict per admissible stratum: x1*x16 (49152 strata)
-# takes over 20 s and ~100 MiB on a 2-core host; path and cycle ideals on up to
-# 24 variables (121393 and 103682 strata) stay below the bound
+# a stratum list holds at most this many strata: build_locus keeps a verdict
+# per admissible stratum, and x1*x16 (49152 strata) takes over 20 s and
+# ~100 MiB on a 2-core host; path and cycle ideals on up to 24 variables
+# (121393 and 103682 strata) stay below the bound
 MAX_STRATA = 1 << 17
 
 
@@ -129,54 +124,42 @@ def _check_strata_vars(n: int) -> None:
         )
 
 
+def _bounded(n: int, masks: Iterable[int], where: str) -> list[Stratum]:
+    """The strata of an ascending mask scan, which stops after MAX_STRATA + 1
+    masks and then raises ResourceLimit rather than list them all."""
+    masks = list(islice(masks, MAX_STRATA + 1))
+    if len(masks) > MAX_STRATA:
+        raise ResourceLimit(
+            f"more than {MAX_STRATA} strata {where}; at most {MAX_STRATA} "
+            "are classified"
+        )
+    return [Stratum(n, z) for z in masks]
+
+
 def all_strata(n: int) -> list[Stratum]:
+    """Every stratum among n variables, ordered by Z-mask; ResourceLimit
+    beyond MAX_STRATA_VARS variables or MAX_STRATA strata."""
     _check_strata_vars(n)
-    return [Stratum(n, m) for m in range(1 << n)]
-
-
-def _admissible_masks(ideal: MonomialIdeal) -> Iterator[int]:
-    """The Z-masks of the strata meeting V(I), ascending, as a lazy scan;
-    the MAX_STRATA_VARS bound is checked at the call."""
-    _check_strata_vars(ideal.n)
-    support = _support_masks(ideal)
-    return (z for z in range(1 << ideal.n) if all(g & z for g in support))
+    return _bounded(n, range(1 << n), "lie in Spec(R)")
 
 
 def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
-    """The strata meeting V(I), ordered by Z-mask; ``all_strata(n)`` gives
-    every stratum.
-
-    Raises ResourceLimit beyond MAX_STRATA_VARS variables.
-    """
-    return [Stratum(ideal.n, z) for z in _admissible_masks(ideal)]
-
-
-def classify_stratum(ideal: MonomialIdeal, p: int, stratum: Stratum) -> StratumVerdict:
-    """Classify the algebra on one stratum via the localized colon.
-
-    The localized colon decides everything: no residual row, i.e. an empty
-    J for phi_W(I), means principal (DirectTheorem).  Otherwise some
-    surviving J generator shows exponents 0, p-1 and p among the variables
-    of Z, which certifies infinite generation on the whole stratum
-    (ComplementPattern); ``_classify`` says why such a generator always
-    exists.
-    """
-    validate_square_free(ideal)
-    if stratum.n != ideal.n:
-        raise ValueError("stratum and ideal live in different ambients")
-    if not is_admissible(ideal, stratum):
-        raise InadmissibleStratum(f"{stratum.render()} does not meet V(I)")
-    return _classify(decompose(ideal, p), stratum)
+    """The strata meeting V(I), ordered by Z-mask; ResourceLimit beyond
+    MAX_STRATA_VARS variables or MAX_STRATA strata."""
+    _check_strata_vars(ideal.n)
+    support = _support_masks(ideal)
+    masks = (z for z in range(1 << ideal.n) if all(g & z for g in support))
+    return _bounded(ideal.n, masks, "meet V(I)")
 
 
-def _classify(global_d: ColonDecomposition, stratum: Stratum) -> StratumVerdict:
-    """classify_stratum on an admissible stratum, given the global
-    decomposition of the ideal.
+def classify_stratum(
+    decomposition: ColonDecomposition, stratum: Stratum
+) -> StratumVerdict:
+    """Classify the algebra on one stratum from the ideal's decomposition.
 
     Localization commutes with the colon: substituting W in the rank ideal
-    of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)).  J of phi_W(I) is
-    zero iff none of those rows is residual, so no colon is recomputed and
-    no localized decomposition is built.
+    of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)), whose J is zero
+    (principal, DirectTheorem) iff none of those rows is residual.
 
     A residual row r is its own ComplementPattern witness.  It is the image
     of an original J row, since images of I^[q] rows stay in phi_W(I)^[q]
@@ -185,10 +168,17 @@ def _classify(global_d: ColonDecomposition, stratum: Stratum) -> StratumVerdict:
     and it is not >= beta_Z, so it has a 0 on some variable of
     supp(beta_Z), a subset of Z.  As beta_Z <= beta zeroed on W, r stays
     outside the localized I^[q] + ((x^beta)^(q-1)) too.
+
+    Raises ValueError for a stratum of another ambient, and
+    InadmissibleStratum when it misses V(I), i.e. phi_W(I) is the unit.
     """
+    if stratum.n != decomposition.base.n:
+        raise ValueError("stratum and ideal live in different ambients")
     inverted = stratum.inverted
-    sub = substitute(global_d.base, inverted)
-    colon = substitute(global_d.colon.ranks, inverted)
+    sub = substitute(decomposition.base, inverted)
+    if sub.is_unit():
+        raise InadmissibleStratum(f"{stratum.render()} does not meet V(I)")
+    colon = substitute(decomposition.colon.ranks, inverted)
     if len(_residual_rows(sub, colon.gens, compute_beta(sub))):
         return StratumVerdict(stratum, GenerationClass.INFINITE, sub)
     return StratumVerdict(stratum, GenerationClass.PRINCIPAL, sub)
@@ -314,29 +304,18 @@ _PUBLISHED_DISCREPANCIES: dict[tuple[int, tuple[tuple[int, ...], ...]], str] = {
 def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusReport:
     """Classify every admissible stratum and decide openness of U.
 
-    ambient="vi" works inside V(I) (only admissible strata exist).
-    ambient="full" keeps all 2^n strata: U, a union of strata inside the
-    proper closed set V(I), is then compared against the whole spectrum, and
-    the inadmissible strata (which miss V(I)) count towards its complement.
-
-    Raises ResourceLimit beyond MAX_STRATA_VARS variables or MAX_STRATA
-    admissible strata.
+    The ideal is decomposed once; ``classify_stratum`` decides each stratum
+    of ``enumerate_strata(ideal)`` from that decomposition.  ambient="vi"
+    works inside V(I) (only admissible strata exist).  ambient="full" keeps
+    ``all_strata(n)``: U, a union of strata inside the proper closed set
+    V(I), is then compared against the whole spectrum, and the inadmissible
+    strata (which miss V(I)) count towards its complement.  Both lists are
+    built, and their ResourceLimit raised, before any stratum is classified.
     """
     if ambient not in ("vi", "full"):
         raise ValueError(f"ambient must be 'vi' or 'full', got {ambient!r}")
     global_d = decompose(ideal, p)
-    # stop the scan at the bound rather than list every admissible stratum
-    masks = list(islice(_admissible_masks(ideal), MAX_STRATA + 1))
-    if len(masks) > MAX_STRATA:
-        raise ResourceLimit(
-            f"more than {MAX_STRATA} strata meet V(I); at most {MAX_STRATA} "
-            "are classified"
-        )
-    admissible = [Stratum(ideal.n, z) for z in masks]
-    verdicts = tuple(_classify(global_d, s) for s in admissible)
-
-    u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
-
+    admissible = enumerate_strata(ideal)
     if ambient == "vi":
         universe: Sequence[Stratum] = admissible
         inadmissible: tuple[Stratum, ...] = ()
@@ -344,7 +323,9 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
         universe = all_strata(ideal.n)
         admitted = set(admissible)
         inadmissible = tuple(s for s in universe if s not in admitted)
+    verdicts = tuple(classify_stratum(global_d, s) for s in admissible)
 
+    u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
     openness = is_open(u, universe)
     expression_u = render_expression(u, universe)
     expression_complement = render_expression(set(universe) - set(u), universe)
@@ -374,7 +355,7 @@ def u_prime_strata(
     """Admissible strata inside Spec(S) \\ V(A) for a monomial annihilator A.
 
     A prime avoids V(A) iff some generator of A misses all its variables,
-    which is a per-stratum condition.
+    which is a per-stratum condition.  Bounded as ``enumerate_strata`` is.
     """
     support = _support_masks(annihilator)
     return tuple(

@@ -307,13 +307,14 @@ class MonomialIdeal:
         self._same_ambient(other)
         if other.is_zero():
             raise ValueError("colon by the zero ideal is undefined here")
+        budget = generator_budget()
         result: "np.ndarray | None" = None
         for g in other.gens:
             quotients = np.maximum(self.gens, g) - g
             if result is None:
                 result = _minimal_rows(quotients)
             elif result.shape[0]:
-                if result.shape[0] * quotients.shape[0] > generator_budget():
+                if result.shape[0] * quotients.shape[0] > budget:
                     # the budget counts the minimal quotients; only a step
                     # over it with the raw ones pays for finding them
                     quotients = _minimal_rows(quotients)

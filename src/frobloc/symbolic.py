@@ -25,6 +25,22 @@ One residual-row test (``_residual_rows``: rank rows outside I^[2] and not
 above beta) cuts J out of the colon here, and decides each stratum in
 ``locus`` on the substituted global colon, so a stratum never needs a
 decomposition of its own.
+
+J can also be read off the generators alone.  The colon is the intersection
+over generators g of (I^[q] : x^g), each generated by the quotients of
+(x^h)^q for generators h, so its rows are the lcms r_h over the choice
+functions h: g -> h_g: rank 2 (q) on T_h, the union of the h_g minus g, and
+rank 1 on the rest of S_h, the union of the h_g.  The monomials outside
+I^[q] + ((x^beta)^(q-1)) form a down-set and every colon row lies above a
+minimal one, so J != 0 iff some r_h is residual: T_h contains no generator
+and S_h misses some v of supp(I).  Then every h_g misses v, and for g not
+containing v the choice h_g = g keeps v out of S_h and only shrinks T_h.
+Hence J != 0 iff some v in supp(I) has, for each generator g containing v,
+a generator h_g missing v such that the union of the h_g minus g contains
+no generator.  For (x1*x2, x2*x3) (M. Katzman, "A non-finitely generated
+algebra of Frobenius maps", Proc. AMS 2010) v = x1 and h = x2*x3 leave
+{x3}, so J != 0.  The criterion involves neither q nor p; the tests use it
+as a reference that shares nothing with the colon.
 """
 
 from __future__ import annotations

@@ -166,6 +166,42 @@ def complement_pattern_witness(global_d, stratum, sub):
     return None
 
 
+def generator_masks(ideal, z=None):
+    """The minimal supports of a square-free ideal's generators as bitmasks
+    (bit i-1 for x_i), restricted to the variable set z when given: the
+    generators of phi_W(I) for the stratum Z = z."""
+    masks = {sum(1 << i for i, c in enumerate(g) if c) for g in ideal.generators()}
+    if z is not None:
+        masks = {m & z for m in masks}
+    return [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+
+
+def j_nonzero(masks):
+    """The colon-free criterion: J != 0 iff some variable v of supp(I) has,
+    for each generator g containing v, a generator h_g missing v such that
+    the union of the h_g minus g contains no generator.  A DFS over the
+    choices of h_g, cut as soon as the union contains a generator (the union
+    only grows)."""
+
+    def extend(through, avoiding, q_set):
+        if any(g & ~q_set == 0 for g in masks):
+            return False
+        if not through:
+            return True
+        g = through[0]
+        return any(extend(through[1:], avoiding, q_set | h & ~g) for h in avoiding)
+
+    support = 0
+    for g in masks:
+        support |= g
+    for v in range(support.bit_length()):
+        through = [g for g in masks if g >> v & 1]
+        avoiding = [h for h in masks if not h >> v & 1]
+        if through and avoiding and extend(through, avoiding, 0):
+            return True
+    return False
+
+
 def is_open(members, universe):
     """Openness ("open" or "not_open") of a union of strata by frozenset
     inclusion: open iff the complement is upward-closed."""

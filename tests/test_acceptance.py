@@ -142,8 +142,9 @@ def test_criterion_4_oracle_equivalence():
         disagreements = []
         for n in (1, 2, 3):
             for ideal, _ in canonical_squarefree_ideals(n):
+                d = decompose(ideal, 2)
                 for stratum in enumerate_strata(ideal):
-                    verdict = classify_stratum(ideal, 2, stratum)
+                    verdict = classify_stratum(d, stratum)
                     profile = classify_up_to(
                         substitute(ideal, stratum.inverted), 2, 3
                     )

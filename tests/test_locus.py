@@ -17,7 +17,6 @@ from frobloc.locus import (
     build_locus,
     classify_stratum,
     enumerate_strata,
-    is_admissible,
     is_open,
     render_expression,
     render_u_prime,
@@ -86,8 +85,11 @@ class TestStrata:
         assert masks == sorted(masks)
 
     def test_admissibility(self, chain4):
-        assert is_admissible(chain4, Z(4, 3))
-        assert not is_admissible(chain4, Z(4, 1, 2))
+        d = decompose(chain4, 2)
+        assert classify_stratum(d, Z(4, 3)).stratum in enumerate_strata(chain4)
+        assert Z(4, 1, 2) not in enumerate_strata(chain4)
+        with pytest.raises(InadmissibleStratum, match=r"Z=\{1,2\} does not meet"):
+            classify_stratum(d, Z(4, 1, 2))
 
     @pytest.mark.parametrize("restrict", [True, False])
     def test_too_many_variables_raise(self, restrict):
@@ -97,21 +99,40 @@ class TestStrata:
         with pytest.raises(ResourceLimit):
             enumerate_strata(ideal) if restrict else all_strata(n)
 
+    def test_too_many_strata_raise(self, chain3, monkeypatch):
+        # chain3 has 5 strata meeting V(I), 8 in all, and 1 inside D(x2)
+        annihilator = compute_u_prime(decompose(chain3, 2))
+        monkeypatch.setattr(locus, "MAX_STRATA", 8)
+        assert len(all_strata(3)) == 8
+        monkeypatch.setattr(locus, "MAX_STRATA", 7)
+        with pytest.raises(ResourceLimit, match="more than 7 strata lie in Spec"):
+            all_strata(3)
+        monkeypatch.setattr(locus, "MAX_STRATA", 5)
+        assert len(enumerate_strata(chain3)) == 5
+        assert len(u_prime_strata(chain3, annihilator)) == 1
+        monkeypatch.setattr(locus, "MAX_STRATA", 4)
+        for listing in (
+            lambda: enumerate_strata(chain3),
+            lambda: u_prime_strata(chain3, annihilator),
+        ):
+            with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
+                listing()
+
 
 class TestClassifyStratum:
     def test_chain3_closed_point(self, chain3):
-        v = classify_stratum(chain3, 2, Z(3, 1, 2, 3))
+        v = classify_stratum(decompose(chain3, 2), Z(3, 1, 2, 3))
         assert v.generation is GenerationClass.INFINITE
         assert v.certificate is Certificate.COMPLEMENT
 
     def test_chain3_middle_variable(self, chain3):
-        v = classify_stratum(chain3, 2, Z(3, 2))
+        v = classify_stratum(decompose(chain3, 2), Z(3, 2))
         assert v.generation is GenerationClass.PRINCIPAL
         assert v.certificate is Certificate.DIRECT
 
     def test_chain4_oracle_confirmed(self, chain4):
         stratum = Z(4, 1, 3, 4)
-        v = classify_stratum(chain4, 2, stratum)
+        v = classify_stratum(decompose(chain4, 2), stratum)
         assert v.generation is GenerationClass.INFINITE
         # the substituted ideal is the 3-variable chain pattern again
         sub = substitute(chain4, stratum.inverted)
@@ -121,11 +142,16 @@ class TestClassifyStratum:
 
     def test_inadmissible_raises(self, chain3):
         with pytest.raises(InadmissibleStratum):
-            classify_stratum(chain3, 2, Z(3, 1))
+            classify_stratum(decompose(chain3, 2), Z(3, 1))
+
+    def test_other_ambient_raises(self, chain3):
+        with pytest.raises(ValueError, match="different ambients"):
+            classify_stratum(decompose(chain3, 2), Z(4, 2))
 
     def test_verdict_matches_localized_j(self, chain4):
+        d = decompose(chain4, 2)
         for s in enumerate_strata(chain4):
-            v = classify_stratum(chain4, 2, s)
+            v = classify_stratum(d, s)
             assert v.substituted == substitute(chain4, s.inverted)
             principal = v.generation is GenerationClass.PRINCIPAL
             assert principal == decompose(v.substituted, 2).j_part.is_zero()
@@ -166,8 +192,28 @@ class TestBuildLocus:
         monkeypatch.setattr(locus, "MAX_STRATA", 4)
         with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
             build_locus(chain3, 2)
-        # listing the strata is not bounded
-        assert len(enumerate_strata(chain3)) == 5
+        # build_locus is bounded through the stratum list itself
+        with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
+            enumerate_strata(chain3)
+
+    def test_full_ambient_bound_trips_before_classifying(self, monkeypatch):
+        # the maximal ideal on 4 variables: one stratum meets V(I), 16 in all
+        ideal = MonomialIdeal([tuple(int(i == k) for i in range(4)) for k in range(4)])
+        calls = []
+        classify = locus.classify_stratum
+
+        def counting(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(locus, "classify_stratum", counting)
+        monkeypatch.setattr(locus, "MAX_STRATA", 15)
+        assert len(build_locus(ideal, 2).verdicts) == 1
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(ResourceLimit, match="more than 15 strata lie in Spec"):
+            build_locus(ideal, 2, ambient="full")
+        assert calls == []
 
     def test_chain4_full_ambient_lift_not_open(self, chain4):
         report = build_locus(chain4, 2, ambient="full")
@@ -229,9 +275,10 @@ class TestUPrimeRegion:
 
     def test_u_prime_soundness(self, chain3):
         # every stratum inside D(x2) ∩ V(I) must classify principal
-        annihilator = compute_u_prime(decompose(chain3, 2))
+        d = decompose(chain3, 2)
+        annihilator = compute_u_prime(d)
         for s in u_prime_strata(chain3, annihilator):
-            v = classify_stratum(chain3, 2, s)
+            v = classify_stratum(d, s)
             assert v.generation is GenerationClass.PRINCIPAL
 
     def test_u_prime_strictly_inside_u(self, chain3):
@@ -253,8 +300,9 @@ def test_full_support_stratum_matches_global(squarefree_classes):
             support = sum(
                 1 << i for i in range(n) if any(g[i] for g in ideal.generators())
             )
-            v = classify_stratum(ideal, 2, Stratum(n, support))
-            assert v.generation is decompose(ideal, 2).generation_class
+            d = decompose(ideal, 2)
+            v = classify_stratum(d, Stratum(n, support))
+            assert v.generation is d.generation_class
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -286,8 +334,9 @@ def test_infinite_family_upward_closed(chain3, chain4):
 def test_oracle_agreement_all_strata_n3(squarefree_classes):
     for n in (1, 2, 3):
         for ideal, _ in squarefree_classes(n):
+            d = decompose(ideal, 2)
             for s in enumerate_strata(ideal):
-                v = classify_stratum(ideal, 2, s)
+                v = classify_stratum(d, s)
                 assert v.substituted == substitute(ideal, s.inverted)
                 profile = classify_up_to(v.substituted, 2, 3)
                 principal = v.generation is GenerationClass.PRINCIPAL
@@ -297,16 +346,18 @@ def test_oracle_agreement_all_strata_n3(squarefree_classes):
 def test_oracle_agreement_extended(squarefree_classes):
     # beyond the acceptance scope: four variables, and characteristic three
     for ideal, _ in squarefree_classes(4):
+        d = decompose(ideal, 2)
         for s in enumerate_strata(ideal):
-            v = classify_stratum(ideal, 2, s)
+            v = classify_stratum(d, s)
             assert v.substituted == substitute(ideal, s.inverted)
             profile = classify_up_to(v.substituted, 2, 3)
             principal = v.generation is GenerationClass.PRINCIPAL
             assert principal == profile.finitely_generated_consistent
     for n in (2, 3):
         for ideal, _ in squarefree_classes(n):
+            d = decompose(ideal, 3)
             for s in enumerate_strata(ideal):
-                v = classify_stratum(ideal, 3, s)
+                v = classify_stratum(d, s)
                 assert v.substituted == substitute(ideal, s.inverted)
                 profile = classify_up_to(v.substituted, 3, 3)
                 principal = v.generation is GenerationClass.PRINCIPAL
@@ -343,6 +394,20 @@ def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_cl
                     _stratum_agrees(report.decomposition, v, reference[sub, p])
 
 
+def test_colon_free_criterion_matches_build_locus_n5(squarefree_classes):
+    # every admissible stratum with n <= 5: J_Z != 0 read off the generators
+    # of phi_W(I), with no colon
+    strata = 0
+    for n in range(1, 6):
+        for ideal, _ in squarefree_classes(n):
+            for v in build_locus(ideal, 2).verdicts:
+                masks = _brute.generator_masks(ideal, v.stratum.mask)
+                infinite = v.generation is GenerationClass.INFINITE
+                assert _brute.j_nonzero(masks) == infinite, (ideal, v.stratum)
+                strata += 1
+    assert strata == 3591
+
+
 def _edge_ideal(kind, n):
     edges = [(i, i + 1) for i in range(n - 1)]
     if kind == "cycle":
@@ -365,24 +430,36 @@ def test_build_locus_matches_definitional_on_paths_and_cycles(kind):
 
 
 @st.composite
-def ideal_and_stratum(draw):
+def ideal_and_stratum(draw, grow=True):
     n = draw(st.integers(1, 7))
     masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
     ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
     z = draw(st.integers(0, (1 << n) - 1))
-    for g in ideal.generators():  # grow Z until the stratum meets V(I)
+    for g in ideal.generators() if grow else ():  # until the stratum meets V(I)
         if not any(g[i] and z >> i & 1 for i in range(n)):
             z |= 1 << g.index(1)
     return ideal, Stratum(n, z)
+
+
+@given(ideal_and_stratum(grow=False), st.sampled_from([2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_classify_raises_exactly_off_the_listed_strata(case, p):
+    ideal, stratum = case
+    d = decompose(ideal, p)
+    if stratum in enumerate_strata(ideal):
+        assert classify_stratum(d, stratum).stratum == stratum
+    else:
+        with pytest.raises(InadmissibleStratum):
+            classify_stratum(d, stratum)
 
 
 @given(ideal_and_stratum(), st.sampled_from([2, 3, 5]))
 @settings(max_examples=80, deadline=None)
 def test_localize_matches_definitional_random(case, p):
     ideal, stratum = case
-    verdict = classify_stratum(ideal, p, stratum)
+    global_d = decompose(ideal, p)
     reference = decompose(substitute(ideal, stratum.inverted), p)
-    _stratum_agrees(decompose(ideal, p), verdict, reference)
+    _stratum_agrees(global_d, classify_stratum(global_d, stratum), reference)
 
 
 def test_build_locus_decomposes_once(monkeypatch, chain4):
@@ -441,7 +518,8 @@ def test_complement_pattern_matches_reference_on_every_enumerated_stratum(
 @settings(max_examples=80, deadline=None)
 def test_complement_pattern_matches_reference_random(case, p):
     ideal, stratum = case
-    _witnessed(decompose(ideal, p), classify_stratum(ideal, p, stratum))
+    global_d = decompose(ideal, p)
+    _witnessed(global_d, classify_stratum(global_d, stratum))
 
 
 def _is_upward_closed(strata):

@@ -1,4 +1,5 @@
 import pickle
+import random
 import time
 
 import numpy as np
@@ -284,6 +285,17 @@ def test_classification_independent_of_p(squarefree_classes):
         for ideal, _ in squarefree_classes(n):
             classes = {decompose(ideal, p).generation_class for p in (2, 3, 5)}
             assert len(classes) == 1
+
+
+def test_colon_free_criterion_matches_decompose_n6_sample(squarefree_classes):
+    # a third reference for J != 0, next to the colon and the oracle
+    sample = random.Random(6).sample(squarefree_classes(6), 500)
+    infinite = 0
+    for ideal, _ in sample:
+        expected = not decompose(ideal, 2).j_part.is_zero()
+        assert _brute.j_nonzero(_brute.generator_masks(ideal)) == expected, ideal
+        infinite += expected
+    assert 0 < infinite < 500
 
 
 def test_e_stability_sweep_all_small_ideals(squarefree_classes):
