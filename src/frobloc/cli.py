@@ -16,6 +16,8 @@ import json
 import re
 import sys
 
+import numpy as np
+
 from .errors import DegenerateIdeal, FroblocError, ResourceLimit
 from .locus import (
     LocusReport,
@@ -343,34 +345,45 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import canonical_squarefree_ideals
+    from .enumeration import census, census_openness, stratum_classes
 
-    reps = canonical_squarefree_ideals(args.vars)
+    found = census(args.vars)
+    reps = found.classes
+    # each class is its own top stratum (W empty), and every stratum of a
+    # class localizes to some class: one decomposition per class decides all
+    generations = [decompose(ideal, args.p).generation_class for ideal, _ in reps]
+    infinite = np.array([g is GenerationClass.INFINITE for g in generations])
     rows = []
     counts = {"principal": 0, "infinite": 0}
     # "unknown" stays in the output schema; it is always 0
     openness_counts = {"open": 0, "not_open": 0, "unknown": 0}
     total_orbit = 0
     checked = disagreements = 0
-    # strata of different classes often localize to the same base ideal
-    memo: "dict[int | MonomialIdeal, tuple[bool, tuple[bool, ...]]]" = {}
-    for ideal, orbit in reps:
-        report = build_locus(ideal, args.p)
-        d = report.decomposition
-        counts[d.generation_class.value] += 1
-        openness_counts[report.openness.value] += 1
+    # the oracle's finitely_generated_consistent per class index
+    consistent: dict[int, bool] = {}
+    for index, (ideal, orbit) in enumerate(reps):
+        strata, local = stratum_classes(found, index)
+        generation = generations[index]
+        openness = census_openness(strata, infinite[local], args.vars)
+        counts[generation.value] += 1
+        openness_counts[openness.value] += 1
         total_orbit += orbit
         if args.check:
-            checked += len(report.verdicts)
-            disagreements += sum(
-                1 for _ in _disagreements(report.verdicts, args.p, args.max_e, memo)
-            )
+            for k in np.unique(local).tolist():
+                if k not in consistent:
+                    profile = classify_up_to(reps[k][0], args.p, args.max_e)
+                    consistent[k] = profile.finitely_generated_consistent
+            # a principal verdict disagrees with an inconsistent profile, an
+            # infinite one with a consistent profile
+            oracle = np.array([consistent[k] for k in local.tolist()], dtype=bool)
+            checked += len(local)
+            disagreements += int(np.count_nonzero(oracle == infinite[local]))
         rows.append(
             {
                 "generators": _gens_json(ideal),
                 "orbit": orbit,
-                "class": d.generation_class.value,
-                "openness": report.openness.value,
+                "class": generation.value,
+                "openness": openness.value,
             }
         )
     if args.json:

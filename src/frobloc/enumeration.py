@@ -17,6 +17,15 @@ n! over the number of images equal to the table itself.
 
 Each class is reported by its lex-least sorted tuple of generator masks
 over the n! images, classes ordered by (generator count, that tuple).
+
+The census classifies the strata of every class without localizing a colon.
+On the stratum G_Z (W the complement of Z) the algebra is decided by the
+class of phi_W(I), whose table bit m is bit m | W of I's table.  When Z
+meets V(I), phi_W(I) is again a proper up-set containing [n], so it is one
+of the enumerated classes, found by its least image among the sorted keys
+(``stratum_classes``).  One decomposition per class then decides every
+stratum of every class, and openness is a single-bit-cover test on the
+infinite strata (``census_openness``).
 """
 
 from __future__ import annotations
@@ -24,9 +33,11 @@ from __future__ import annotations
 import functools
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
+from .locus import Openness
 from .monomials import MonomialIdeal, mask_to_exponents
 
 # the truth table of an up-set on n variables has 2^n bits, one uint64 word;
@@ -117,44 +128,122 @@ def _flip(tables: np.ndarray, n: int) -> np.ndarray:
     return tables
 
 
-def _representatives(tables: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """The printed key of each class: the lex-least sorted generator-mask
-    tuple over its n! images.  Of two sorted tuples of as many distinct
-    masks, the lesser holds the least mask in exactly one of them; flipping
-    turns that mask into the highest differing bit, so the lex-least tuple
-    is the image whose flipped generator table is greatest, the complement
-    of the least image of the complement."""
+def _representatives(tables: np.ndarray, n: int) -> np.ndarray:
+    """The generator table of each class's printed key: the lex-least sorted
+    generator-mask tuple over its n! images.  Of two sorted tuples of as
+    many distinct masks, the lesser holds the least mask in exactly one of
+    them; flipping turns that mask into the highest differing bit, so the
+    lex-least tuple is the image whose flipped generator table is greatest,
+    the complement of the least image of the complement."""
     full = np.uint64((1 << (1 << n)) - 1)
     least, _ = _canonical(full ^ _flip(_minimal_members(tables, n), n), n)
-    rows, masks = _unpack(_flip(full ^ least, n), n)
-    keys = [[] for _ in tables]
-    for row, mask in zip(rows.tolist(), masks.tolist()):
-        keys[row].append(mask)
-    return [tuple(key) for key in keys]
+    return _flip(full ^ least, n)
 
 
-def canonical_squarefree_ideals(n: int) -> list[tuple[MonomialIdeal, int]]:
-    """One (ideal, orbit size) pair per symmetry class of proper square-free
-    ideals on exactly this ambient."""
+def _up_sets(generators: np.ndarray, n: int) -> np.ndarray:
+    """The truth table of the up-set of each generator table."""
+    for var in range(n):
+        # bit m of the shift is bit m - 2^var: m without x_(var+1)
+        generators = generators | (
+            (generators << np.uint64(1 << var)) & np.uint64(_positions(n, var, 1))
+        )
+    return generators
+
+
+class Census(NamedTuple):
+    """The symmetry classes of proper square-free ideals on n variables.
+
+    ``classes`` holds one (representative, orbit size) pair per class in
+    printed order, ``tables`` the up-set truth table of each representative
+    in that order, and ``keys`` the least images of the classes, ascending,
+    with ``key_class`` the index in ``classes`` of each."""
+
+    n: int
+    classes: list[tuple[MonomialIdeal, int]]
+    tables: np.ndarray
+    keys: np.ndarray
+    key_class: np.ndarray
+
+
+def census(n: int) -> Census:
+    """Enumerate the symmetry classes of proper square-free ideals on
+    exactly this ambient."""
     if n > MAX_ENUMERATION_VARS:
         raise ValueError(f"enumeration supported for n <= {MAX_ENUMERATION_VARS}")
     if n < 1:
-        return []
+        empty = np.zeros(0, dtype=np.uint64)
+        return Census(n, [], empty, empty, np.zeros(0, dtype=np.int64))
     level = np.array([1 << ((1 << n) - 1)], dtype=np.uint64)  # the up-set {[n]}
     orbits = [np.ones(1, dtype=np.int64)]
-    classes = [level]
+    levels = [level]
     while True:
         least, orbit = _canonical(_children(level, n), n)
         level, first = np.unique(least, return_index=True)
         if not len(level):
             break
-        classes.append(level)
+        levels.append(level)
         orbits.append(orbit[first])
-    keys = _representatives(np.concatenate(classes), n)
-    ordered = sorted(
-        zip(keys, np.concatenate(orbits).tolist()), key=lambda kv: (len(kv[0]), kv[0])
-    )
-    return [(ideal_from_masks(key, n), orbit) for key, orbit in ordered]
+    least = np.concatenate(levels)
+    generators = _representatives(least, n)
+    masks = [[] for _ in least]
+    for row, mask in zip(*(a.tolist() for a in _unpack(generators, n))):
+        masks[row].append(mask)
+    orbit = np.concatenate(orbits).tolist()
+    order = sorted(range(len(masks)), key=lambda c: (len(masks[c]), masks[c]))
+    classes = [(ideal_from_masks(masks[c], n), orbit[c]) for c in order]
+    least = least[order]
+    key_class = np.argsort(least)
+    tables = _up_sets(generators[order], n)
+    return Census(n, classes, tables, least[key_class], key_class)
+
+
+def canonical_squarefree_ideals(n: int) -> list[tuple[MonomialIdeal, int]]:
+    """One (ideal, orbit size) pair per symmetry class of proper square-free
+    ideals on exactly this ambient."""
+    return census(n).classes
+
+
+def _localized(table: int, n: int) -> np.ndarray:
+    """The truth table of phi_W(I) at every stratum, indexed by its Z-mask
+    (W is the complement of Z): bit m of phi_W(I)'s table is bit m | W of
+    I's, set variable by variable."""
+    strata = np.arange(1 << n)
+    tables = np.full(1 << n, table, dtype=np.uint64)
+    for var in range(n):
+        # bit m of the shift is bit m + 2^var: m plus x_(var+1)
+        high = tables & np.uint64(_positions(n, var, 1))
+        moved = high | (high >> np.uint64(1 << var))
+        np.copyto(tables, moved, where=strata >> var & 1 == 0)
+    return tables
+
+
+def stratum_classes(census: Census, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strata of the class ``index`` that meet V(I), as ascending
+    Z-masks, and the class index of the localized ideal phi_W(I) on each.
+
+    A stratum meets V(I) iff phi_W(I) is proper, i.e. bit 0 of its table is
+    clear; phi_W(I) then contains x^[n] and is itself a census class, found
+    by its least image among the sorted keys."""
+    local = _localized(int(census.tables[index]), census.n)
+    strata = np.flatnonzero(local & np.uint64(1) == 0)
+    least, _ = _canonical(local[strata], census.n)
+    at = np.searchsorted(census.keys, least).clip(max=len(census.keys) - 1)
+    if (census.keys[at] != least).any():
+        raise RuntimeError("a localized ideal is missing from the census")
+    return strata, census.key_class[at]
+
+
+def census_openness(strata: np.ndarray, infinite: np.ndarray, n: int) -> Openness:
+    """Openness of U inside V(I) from the Z-masks of the strata meeting V(I)
+    and whether each is infinite: U is open iff no infinite stratum has a
+    principal single-bit cover Z | 1 << i.  Covers of strata meeting V(I)
+    meet it too, so the test reads no stratum outside the list."""
+    principal = np.zeros(1 << n, dtype=bool)
+    principal[strata[~infinite]] = True
+    closed = strata[infinite]
+    if any(principal[closed | 1 << var].any() for var in range(n)):
+        return Openness.NOT_OPEN
+    return Openness.OPEN
 
 
 @functools.cache

@@ -124,14 +124,15 @@ def _check_strata_vars(n: int) -> None:
         )
 
 
-def _bounded(n: int, masks: Iterable[int], where: str) -> list[Stratum]:
+def _bounded(n: int, masks: Iterable[int], where: str, done: str) -> list[Stratum]:
     """The strata of an ascending mask scan, which stops after MAX_STRATA + 1
-    masks and then raises ResourceLimit rather than list them all."""
+    masks and then raises ResourceLimit rather than list them all; the
+    message says what is ``done`` with at most MAX_STRATA of them."""
     masks = list(islice(masks, MAX_STRATA + 1))
     if len(masks) > MAX_STRATA:
         raise ResourceLimit(
             f"more than {MAX_STRATA} strata {where}; at most {MAX_STRATA} "
-            "are classified"
+            f"are {done}"
         )
     return [Stratum(n, z) for z in masks]
 
@@ -140,16 +141,20 @@ def all_strata(n: int) -> list[Stratum]:
     """Every stratum among n variables, ordered by Z-mask; ResourceLimit
     beyond MAX_STRATA_VARS variables or MAX_STRATA strata."""
     _check_strata_vars(n)
-    return _bounded(n, range(1 << n), "lie in Spec(R)")
+    return _bounded(n, range(1 << n), "lie in Spec(R)", "classified")
+
+
+def _meeting(ideal: MonomialIdeal, done: str) -> list[Stratum]:
+    _check_strata_vars(ideal.n)
+    support = _support_masks(ideal)
+    masks = (z for z in range(1 << ideal.n) if all(g & z for g in support))
+    return _bounded(ideal.n, masks, "meet V(I)", done)
 
 
 def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
     """The strata meeting V(I), ordered by Z-mask; ResourceLimit beyond
     MAX_STRATA_VARS variables or MAX_STRATA strata."""
-    _check_strata_vars(ideal.n)
-    support = _support_masks(ideal)
-    masks = (z for z in range(1 << ideal.n) if all(g & z for g in support))
-    return _bounded(ideal.n, masks, "meet V(I)")
+    return _meeting(ideal, "classified")
 
 
 def classify_stratum(
@@ -355,12 +360,13 @@ def u_prime_strata(
     """Admissible strata inside Spec(S) \\ V(A) for a monomial annihilator A.
 
     A prime avoids V(A) iff some generator of A misses all its variables,
-    which is a per-stratum condition.  Bounded as ``enumerate_strata`` is.
+    which is a per-stratum condition.  Bounded as ``enumerate_strata`` is,
+    on the strata meeting V(I), which are listed rather than classified.
     """
     support = _support_masks(annihilator)
     return tuple(
         s
-        for s in enumerate_strata(ideal)
+        for s in _meeting(ideal, "listed")
         if any(a & s.mask == 0 for a in support)
     )
 

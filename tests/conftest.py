@@ -2,14 +2,20 @@ import functools
 
 import pytest
 
-from frobloc.enumeration import canonical_squarefree_ideals
+from frobloc.enumeration import census
 from frobloc.monomials import MonomialIdeal
 
 
 @pytest.fixture(scope="session")
-def squarefree_classes():
+def censuses():
+    """census(n), enumerated once per test session."""
+    return functools.cache(census)
+
+
+@pytest.fixture(scope="session")
+def squarefree_classes(censuses):
     """canonical_squarefree_ideals(n), enumerated once per test session."""
-    return functools.cache(lambda n: tuple(canonical_squarefree_ideals(n)))
+    return lambda n: tuple(censuses(n).classes)
 
 
 @pytest.fixture

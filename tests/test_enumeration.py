@@ -1,15 +1,32 @@
+import functools
 import random
 
+import numpy as np
 import pytest
 
 import _brute
 from frobloc.enumeration import (
+    _canonical,
+    _localized,
     canonical_squarefree_ideals,
+    census_openness,
     ideal_from_masks,
+    stratum_classes,
     symmetry_class,
 )
-from frobloc.monomials import MonomialIdeal, exponents_to_mask, mask_to_exponents
-from frobloc.symbolic import validate_square_free
+from frobloc.locus import build_locus, enumerate_strata, u_prime_strata
+from frobloc.monomials import (
+    MonomialIdeal,
+    exponents_to_mask,
+    mask_to_exponents,
+    substitute,
+)
+from frobloc.symbolic import (
+    GenerationClass,
+    compute_u_prime,
+    decompose,
+    validate_square_free,
+)
 
 
 def test_mask_round_trip():
@@ -140,3 +157,102 @@ def test_symmetry_class_outside_its_range():
     assert symmetry_class(MonomialIdeal([(2, 1)])) is None
     assert symmetry_class(MonomialIdeal.unit(3)) is None
     assert symmetry_class(MonomialIdeal.zero(3)) is None
+
+
+# ---------------------------------------------------------------------------
+# the census: each stratum's class looked up, not classified
+
+
+def _truth_table(ideal):
+    """Bit m set iff x^m lies in the square-free ideal."""
+    masks = [exponents_to_mask(g) for g in ideal.generators()]
+    return sum(1 << m for m in range(1 << ideal.n) if any(g & m == g for g in masks))
+
+
+def _census_locus(c, index, generation):
+    """(strata, their verdicts, openness) of one class through the census
+    lookup; ``generation(k)`` is the global class of class k."""
+    strata, local = stratum_classes(c, index)
+    verdicts = [generation(k) for k in local.tolist()]
+    infinite = np.array([g is GenerationClass.INFINITE for g in verdicts], dtype=bool)
+    return strata.tolist(), verdicts, census_openness(strata, infinite, c.n)
+
+
+def _assert_matches_build_locus(c, indexes, p):
+    generation = functools.cache(
+        lambda k: decompose(c.classes[k][0], p).generation_class
+    )
+    checked = 0
+    for index in indexes:
+        ideal = c.classes[index][0]
+        strata, verdicts, openness = _census_locus(c, index, generation)
+        report = build_locus(ideal, p)
+        assert strata == [s.mask for s in enumerate_strata(ideal)], ideal
+        assert strata == [v.stratum.mask for v in report.verdicts], ideal
+        assert verdicts == [v.generation for v in report.verdicts], ideal
+        assert openness is report.openness, ideal
+        assert generation(index) is report.decomposition.generation_class
+        checked += len(strata)
+    return checked
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_verdicts_equal_build_locus(censuses, p):
+    for n in range(1, 6):
+        c = censuses(n)
+        checked = _assert_matches_build_locus(c, range(len(c.classes)), p)
+    assert checked == 3328
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_verdicts_equal_build_locus_on_sampled_n6(censuses, p):
+    c = censuses(6)
+    sample = random.Random(6).sample(range(len(c.classes)), 120)
+    assert _assert_matches_build_locus(c, sample, p) > len(sample)
+
+
+def test_localized_tables_equal_substitute(censuses):
+    for n in range(1, 5):
+        c = censuses(n)
+        full = (1 << n) - 1
+        for index, (ideal, _) in enumerate(c.classes):
+            assert int(c.tables[index]) == _truth_table(ideal)
+            local = _localized(int(c.tables[index]), n)
+            for z in range(1 << n):
+                inverted = [i + 1 for i in range(n) if (full ^ z) >> i & 1]
+                assert int(local[z]) == _truth_table(substitute(ideal, inverted))
+
+
+def test_stratum_lookup_misses_raise(censuses):
+    # without the class of (x1), the localization of (x1*x2) at x2 misses
+    c = censuses(3)
+    index = [ideal for ideal, _ in c.classes].index(MonomialIdeal([(1, 1, 0)]))
+    x1 = np.array([_truth_table(MonomialIdeal([(1, 0, 0)]))], dtype=np.uint64)
+    kept = c.keys != _canonical(x1, 3)[0]
+    broken = c._replace(keys=c.keys[kept], key_class=c.key_class[kept])
+    with pytest.raises(RuntimeError, match="missing from the census"):
+        stratum_classes(broken, index)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_abstract_claims_hold_on_the_census(censuses, p):
+    # on all 248 classes with n <= 5: U has a stratum inside V(I), and every
+    # stratum of U' is principal; U' is empty on 13 classes and all of U on
+    # only 83, so U \ U' is often nonempty
+    classes = empty = equal = 0
+    for n in range(1, 6):
+        c = censuses(n)
+        generation = functools.cache(
+            lambda k, c=c: decompose(c.classes[k][0], p).generation_class
+        )
+        for index, (ideal, _) in enumerate(c.classes):
+            strata, verdicts, _ = _census_locus(c, index, generation)
+            u = {z for z, g in zip(strata, verdicts) if g is GenerationClass.PRINCIPAL}
+            assert u, ideal
+            u_prime = u_prime_strata(ideal, compute_u_prime(decompose(ideal, p)))
+            u_prime = {s.mask for s in u_prime}
+            assert u_prime <= u, ideal
+            classes += 1
+            empty += not u_prime
+            equal += u_prime == u
+    assert (classes, empty, equal) == (248, 13, 83)
