@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DegenerateIdeal, FroblocError, ResourceLimit
 from .locus import (
     LocusReport,
+    _cover_openness,
     build_locus,
     render_u_prime,
     u_prime_strata,
@@ -345,7 +346,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import census, census_openness, stratum_classes
+    from .enumeration import census, stratum_classes
 
     found = census(args.vars)
     reps = found.classes
@@ -364,7 +365,9 @@ def _cmd_enumerate(args) -> int:
     for index, (ideal, orbit) in enumerate(reps):
         strata, local = stratum_classes(found, index)
         generation = generations[index]
-        openness = census_openness(strata, infinite[local], args.vars)
+        closed = infinite[local]  # U is the principal strata
+        u = set(strata[~closed].tolist())
+        openness = _cover_openness(u, strata[closed].tolist(), args.vars)
         counts[generation.value] += 1
         openness_counts[openness.value] += 1
         total_orbit += orbit
@@ -448,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ideal_command(name, help_text, **extra):
+    def add_ideal_command(name, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("ideal", help='ideal like "x1*x2, x2*x3", or - for stdin')
         cmd.add_argument("--vars", type=int, default=None, help="ambient variable count")

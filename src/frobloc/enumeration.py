@@ -24,8 +24,8 @@ class of phi_W(I), whose table bit m is bit m | W of I's table.  When Z
 meets V(I), phi_W(I) is again a proper up-set containing [n], so it is one
 of the enumerated classes, found by its least image among the sorted keys
 (``stratum_classes``).  One decomposition per class then decides every
-stratum of every class, and openness is a single-bit-cover test on the
-infinite strata (``census_openness``).
+stratum of every class, and openness is the single-bit-cover rule of
+``locus`` (``_cover_openness``) on the infinite strata.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .locus import Openness
 from .monomials import MonomialIdeal, mask_to_exponents
 
 # the truth table of an up-set on n variables has 2^n bits, one uint64 word;
@@ -231,19 +230,6 @@ def stratum_classes(census: Census, index: int) -> tuple[np.ndarray, np.ndarray]
     if (census.keys[at] != least).any():
         raise RuntimeError("a localized ideal is missing from the census")
     return strata, census.key_class[at]
-
-
-def census_openness(strata: np.ndarray, infinite: np.ndarray, n: int) -> Openness:
-    """Openness of U inside V(I) from the Z-masks of the strata meeting V(I)
-    and whether each is infinite: U is open iff no infinite stratum has a
-    principal single-bit cover Z | 1 << i.  Covers of strata meeting V(I)
-    meet it too, so the test reads no stratum outside the list."""
-    principal = np.zeros(1 << n, dtype=bool)
-    principal[strata[~infinite]] = True
-    closed = strata[infinite]
-    if any(principal[closed | 1 << var].any() for var in range(n)):
-        return Openness.NOT_OPEN
-    return Openness.OPEN
 
 
 @functools.cache

@@ -10,11 +10,12 @@ primes with finitely generated algebra is therefore a union of strata, and
 its openness is a purely combinatorial question: a union of strata is
 closed iff its index family is upward-closed under Z-inclusion.  One
 classifier, ``classify_stratum``, decides each stratum from the ideal's one
-global decomposition: its colon rows are substituted at W and J_Z = 0 iff
-none of them is residual; the verdict keeps only phi_W(I) (``substituted``).
+global decomposition: its J rows are substituted at W and J_Z = 0 iff none
+of them is residual; the verdict keeps only phi_W(I) (``substituted``).
 Two lists give the strata, ``all_strata(n)`` and ``enumerate_strata(I)``
 (those meeting V(I)), both bounded by MAX_STRATA.  Both are upward-closed,
-so openness and the display walk single-bit covers z | 1 << i.
+so openness (``_cover_openness``, the census's too) and the display walk
+single-bit covers z | 1 << i.
 
 A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
 it.  Z-inclusion a <= b is then ``a & ~b == 0``, and a stratum meets V(I)
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .errors import InadmissibleStratum, ResourceLimit
 from .monomials import MonomialIdeal, exponents_to_mask, format_monomial, substitute
@@ -164,15 +165,17 @@ def classify_stratum(
 
     Localization commutes with the colon: substituting W in the rank ideal
     of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)), whose J is zero
-    (principal, DirectTheorem) iff none of those rows is residual.
+    (principal, DirectTheorem) iff none of those rows is residual.  Images
+    of I^[q] rows stay in phi_W(I)^[q] and images of socle rows stay
+    >= beta_Z (the support of phi_W(I)), and rows above a non-residual row
+    are non-residual, so the substituted J has the same minimal residual
+    rows as the substituted colon: only J is substituted.
 
-    A residual row r is its own ComplementPattern witness.  It is the image
-    of an original J row, since images of I^[q] rows stay in phi_W(I)^[q]
-    and images of socle rows stay >= beta_Z (the support of phi_W(I)).  It
-    is zero on W and carries q-1 and q (``_residual_rows`` enforces both),
-    and it is not >= beta_Z, so it has a 0 on some variable of
-    supp(beta_Z), a subset of Z.  As beta_Z <= beta zeroed on W, r stays
-    outside the localized I^[q] + ((x^beta)^(q-1)) too.
+    A residual row r is its own ComplementPattern witness.  It is zero on W
+    and carries q-1 and q (``_residual_rows`` enforces both), and it is not
+    >= beta_Z, so it has a 0 on some variable of supp(beta_Z), a subset of
+    Z.  As beta_Z <= beta zeroed on W, r stays outside the localized
+    I^[q] + ((x^beta)^(q-1)) too.
 
     Raises ValueError for a stratum of another ambient, and
     InadmissibleStratum when it misses V(I), i.e. phi_W(I) is the unit.
@@ -183,8 +186,8 @@ def classify_stratum(
     sub = substitute(decomposition.base, inverted)
     if sub.is_unit():
         raise InadmissibleStratum(f"{stratum.render()} does not meet V(I)")
-    colon = substitute(decomposition.colon.ranks, inverted)
-    if len(_residual_rows(sub, colon.gens, compute_beta(sub))):
+    j = substitute(decomposition.j_part.ranks, inverted)
+    if len(_residual_rows(sub, j.gens, compute_beta(sub))):
         return StratumVerdict(stratum, GenerationClass.INFINITE, sub)
     return StratumVerdict(stratum, GenerationClass.PRINCIPAL, sub)
 
@@ -209,20 +212,27 @@ def _upward_closure(family: Iterable[int], n: int) -> set[int]:
     return closure
 
 
+def _cover_openness(u: Container[int], outside: Iterable[int], n: int) -> Openness:
+    """Openness of the strata ``u`` (Z-masks) in an upward-closed universe
+    whose other strata are ``outside``: open iff the outside is
+    upward-closed, i.e. no stratum outside has a single-bit cover
+    z | 1 << i in u.  Each such cover lies in the universe."""
+    if any(z | 1 << i in u for z in outside for i in range(n)):
+        return Openness.NOT_OPEN
+    return Openness.OPEN
+
+
 def is_open(members: Iterable[Stratum], universe: Sequence[Stratum]) -> Openness:
     """Openness of a union of strata inside the given ambient: open iff the
-    complementary index family equals its upward closure under
-    Z-inclusion.
+    complementary index family is upward-closed under Z-inclusion.
 
     The universe must be upward-closed (every Z-superset of a member is a
-    member), as all strata and the strata meeting V(I) are: the closure is
-    then walked along single-bit covers, never by scanning the universe.
+    member), as all strata and the strata meeting V(I) are: each complement
+    stratum's single-bit covers are then all that is read.
     """
     n = universe[0].n if universe else 0
-    complement = {s.mask for s in universe} - {s.mask for s in members}
-    if complement == _upward_closure(complement, n):
-        return Openness.OPEN
-    return Openness.NOT_OPEN
+    u = {s.mask for s in members}
+    return _cover_openness(u, (s.mask for s in universe if s.mask not in u), n)
 
 
 def render_expression(members: Iterable[Stratum], universe: Sequence[Stratum]) -> str:
@@ -293,7 +303,7 @@ class LocusReport:
     expression_u: str
     expression_complement: str
     notes: tuple[str, ...]
-    decomposition: ColonDecomposition  # of the ideal itself, substituted per stratum
+    decomposition: ColonDecomposition  # of the ideal; J substituted per stratum
 
 
 # Published locus displays known to disagree with the derived stratum table.

@@ -23,8 +23,8 @@ I^[2] is the rank image of I^[q]: a 0/1 generator scales to ranks 0 and 2.
 
 One residual-row test (``_residual_rows``: rank rows outside I^[2] and not
 above beta) cuts J out of the colon here, and decides each stratum in
-``locus`` on the substituted global colon, so a stratum never needs a
-decomposition of its own.
+``locus`` on the global J with the stratum's inverted variables substituted,
+so a stratum never needs a colon or a decomposition of its own.
 
 J can also be read off the generators alone.  The colon is the intersection
 over generators g of (I^[q] : x^g), each generated by the quotients of
@@ -206,17 +206,13 @@ class DecompositionParts(NamedTuple):
 
 @dataclass(frozen=True)
 class ColonDecomposition:
-    """(I^[q]:I) split into Frobenius image, residual J and socle generator.
-
-    ``colon`` is the whole symbolic colon the three parts were cut from.
-    """
+    """(I^[q]:I) split into Frobenius image, residual J and socle generator."""
 
     base: MonomialIdeal
     p: int
     frobenius_part: SymbolicIdeal
     j_part: SymbolicIdeal
     beta: tuple[int, ...]
-    colon: SymbolicIdeal
 
     def instantiate(self, e: int) -> DecompositionParts:
         if e < 1:
@@ -254,33 +250,36 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
     of the rest, those divisible by (x^beta)^(q-1) belong to the socle part;
     whatever remains is J.  Divisibility is the uniform (all q >= 2) one.
     """
-    sym = colon_symbolic(ideal, p)
+    rows = colon_symbolic(ideal, p).enc
     beta = compute_beta(ideal)
-    rows = sym.enc
+    in_image = ideal.frobenius_power(_Q2).contains_each(rows)
     # a subset of a canonical antichain is canonical
-    frob = rows[ideal.frobenius_power(_Q2).contains_each(rows)]
-    j = _residual_rows(ideal, rows, beta)
+    frob, j = rows[in_image], _outside_socle(rows[~in_image], beta)
     return ColonDecomposition(
         ideal,
         p,
         SymbolicIdeal._of(MonomialIdeal._from_canonical(frob, ideal.n)),
         SymbolicIdeal._of(MonomialIdeal._from_canonical(j, ideal.n)),
         beta,
-        sym,
     )
 
 
 def _residual_rows(
     ideal: MonomialIdeal, rows: np.ndarray, beta: Sequence[int]
 ) -> np.ndarray:
-    """The rank rows outside ideal^[2] (the ranks of I^[q]) and not >= beta
-    (not divisible by (x^beta)^(q-1)): J's rows when ``rows`` is the colon
-    of ``ideal`` and ``beta`` its support.
+    """The rank rows outside ideal^[2] (the ranks of I^[q]) that
+    ``_outside_socle`` keeps: J's rows when ``rows`` is the colon of
+    ``ideal``, or its J part, and ``beta`` its support."""
+    return _outside_socle(rows[~ideal.frobenius_power(_Q2).contains_each(rows)], beta)
+
+
+def _outside_socle(rows: np.ndarray, beta: Sequence[int]) -> np.ndarray:
+    """The rows not >= beta (not divisible by (x^beta)^(q-1)) among rank rows
+    outside I^[2].
 
     Residual generators always carry a q and a q-1 exponent simultaneously;
     a residual row without both raises FroblocError.
     """
-    rows = rows[~ideal.frobenius_power(_Q2).contains_each(rows)]
     rows = rows[~(rows >= np.asarray(beta)).all(axis=1)]
     pattern = (rows == 1).any(axis=1) & (rows == 2).any(axis=1)
     if not pattern.all():

@@ -9,12 +9,11 @@ from frobloc.enumeration import (
     _canonical,
     _localized,
     canonical_squarefree_ideals,
-    census_openness,
     ideal_from_masks,
     stratum_classes,
     symmetry_class,
 )
-from frobloc.locus import build_locus, enumerate_strata, u_prime_strata
+from frobloc.locus import _cover_openness, build_locus, enumerate_strata, u_prime_strata
 from frobloc.monomials import (
     MonomialIdeal,
     exponents_to_mask,
@@ -171,11 +170,13 @@ def _truth_table(ideal):
 
 def _census_locus(c, index, generation):
     """(strata, their verdicts, openness) of one class through the census
-    lookup; ``generation(k)`` is the global class of class k."""
+    lookup, openness by the shared single-bit-cover rule; ``generation(k)``
+    is the global class of class k."""
     strata, local = stratum_classes(c, index)
+    strata = strata.tolist()
     verdicts = [generation(k) for k in local.tolist()]
-    infinite = np.array([g is GenerationClass.INFINITE for g in verdicts], dtype=bool)
-    return strata.tolist(), verdicts, census_openness(strata, infinite, c.n)
+    u = {z for z, g in zip(strata, verdicts) if g is GenerationClass.PRINCIPAL}
+    return strata, verdicts, _cover_openness(u, [z for z in strata if z not in u], c.n)
 
 
 def _assert_matches_build_locus(c, indexes, p):

@@ -24,7 +24,13 @@ from frobloc.locus import (
 )
 from frobloc.monomials import MonomialIdeal, PrimePower, substitute
 from frobloc.oracle import classify_up_to
-from frobloc.symbolic import GenerationClass, compute_u_prime, decompose
+from frobloc.symbolic import (
+    GenerationClass,
+    colon_symbolic,
+    compute_beta,
+    compute_u_prime,
+    decompose,
+)
 
 
 def _principal(report):
@@ -215,10 +221,17 @@ class TestBuildLocus:
             build_locus(ideal, 2, ambient="full")
         assert calls == []
 
-    def test_chain4_full_ambient_lift_not_open(self, chain4):
+    def test_chain4_full_ambient_lift_not_open(self, chain4, squarefree_classes):
         report = build_locus(chain4, 2, ambient="full")
         assert report.openness is Openness.NOT_OPEN
         assert len(report.inadmissible) == 5
+        # the locus is nonempty on every class, and never open in Spec(R)
+        for p in (2, 3):
+            for n in range(1, 5):
+                for ideal, _ in squarefree_classes(n):
+                    report = build_locus(ideal, p, ambient="full")
+                    assert _principal(report), ideal
+                    assert report.openness is Openness.NOT_OPEN, ideal
 
 
 class TestIsOpen:
@@ -368,17 +381,25 @@ def test_oracle_agreement_extended(squarefree_classes):
 # localizing the global colon against the definitional per-stratum colon
 
 
-def _stratum_agrees(global_d, verdict, reference):
-    """The two facts a stratum's verdict rests on: the substituted global
-    colon is the colon of phi_W(I) (``reference.colon``, computed by
-    colon_symbolic), and the verdict's class and ``substituted`` are those
-    of the definitional ``reference`` = decompose(phi_W(I))."""
-    sub = substitute(global_d.base, verdict.stratum.inverted)
-    colon = substitute(global_d.colon.ranks, verdict.stratum.inverted)
-    assert reference.base == sub
-    assert colon == reference.colon.ranks
-    assert verdict.substituted == sub
+def _stratum_agrees(global_colon, global_d, verdict, local_colon, reference):
+    """The facts a stratum's verdict rests on, against the definitional
+    ``reference`` = decompose(phi_W(I)): the substituted global colon is
+    ``local_colon``, the colon of phi_W(I) (both computed by
+    colon_symbolic); the residual rows of the substituted global J are
+    exactly the rows of the reference's J; and the verdict's class and
+    ``substituted`` are the reference's."""
+    inverted = verdict.stratum.inverted
+    sub = substitute(global_d.base, inverted)
+    assert reference.base == sub == verdict.substituted
+    assert substitute(global_colon.ranks, inverted) == local_colon.ranks
+    j = substitute(global_d.j_part.ranks, inverted)
+    rows = symbolic._residual_rows(sub, j.gens, compute_beta(sub))
+    assert rows.tolist() == reference.j_part.enc.tolist()
     assert verdict.generation is reference.generation_class
+
+
+def _definitional(sub, p):
+    return colon_symbolic(sub, p), decompose(sub, p)
 
 
 def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_classes):
@@ -387,11 +408,12 @@ def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_cl
         for n in range(1, max_n + 1):
             for ideal, _ in squarefree_classes(n):
                 report = build_locus(ideal, p)
+                colon = colon_symbolic(ideal, p)
                 for v in report.verdicts:
                     sub = v.substituted
                     if (sub, p) not in reference:
-                        reference[sub, p] = decompose(sub, p)
-                    _stratum_agrees(report.decomposition, v, reference[sub, p])
+                        reference[sub, p] = _definitional(sub, p)
+                    _stratum_agrees(colon, report.decomposition, v, *reference[sub, p])
 
 
 def test_colon_free_criterion_matches_build_locus_n5(squarefree_classes):
@@ -458,8 +480,9 @@ def test_classify_raises_exactly_off_the_listed_strata(case, p):
 def test_localize_matches_definitional_random(case, p):
     ideal, stratum = case
     global_d = decompose(ideal, p)
-    reference = decompose(substitute(ideal, stratum.inverted), p)
-    _stratum_agrees(global_d, classify_stratum(global_d, stratum), reference)
+    reference = _definitional(substitute(ideal, stratum.inverted), p)
+    verdict = classify_stratum(global_d, stratum)
+    _stratum_agrees(colon_symbolic(ideal, p), global_d, verdict, *reference)
 
 
 def test_build_locus_decomposes_once(monkeypatch, chain4):

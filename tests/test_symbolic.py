@@ -332,7 +332,7 @@ def test_rank_encoding_random(case, p):
         concrete = ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
         assert sym.instantiate(p**e) == concrete
     local = decompose(substitute(ideal, inverted), p)
-    for part in (local.colon, local.frobenius_part, local.j_part):
+    for part in (local.frobenius_part, local.j_part):
         assert set(np.unique(part.enc).tolist()) <= {0, 1, 2}
 
 
