@@ -4,8 +4,9 @@ Subcommands: colon, decompose, classify, uprime, locus, oracle, enumerate.
 Ideals are written as comma-separated products of variables, e.g.
 "x1*x2, x2*x3"; a repeated variable raises the exponent (and is then
 rejected by the commands that require square-free input).  Exit codes:
-0 success, 2 parse error, 3 invalid input, 4 classifier/oracle disagreement
-under --check, 5 resource limit.
+0 success, 1 stdout closed by its reader (a broken pipe), 2 parse error,
+3 invalid input, 4 classifier/oracle disagreement under --check, 5 resource
+limit (out of memory included).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -21,7 +23,6 @@ import numpy as np
 from .errors import DegenerateIdeal, FroblocError, ResourceLimit
 from .locus import (
     LocusReport,
-    _cover_openness,
     build_locus,
     render_u_prime,
     u_prime_strata,
@@ -42,6 +43,7 @@ from .symbolic import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_DISAGREEMENT = 4
@@ -360,27 +362,22 @@ def _cmd_enumerate(args) -> int:
     openness_counts = {"open": 0, "not_open": 0, "unknown": 0}
     total_orbit = 0
     checked = disagreements = 0
-    # the oracle's finitely_generated_consistent per class index
-    consistent: dict[int, bool] = {}
+    # the oracle's finitely_generated_consistent per class, filled in class
+    # order: no stratum of a class localizes to a later class
+    consistent = np.zeros(len(reps), dtype=bool)
     for index, (ideal, orbit) in enumerate(reps):
-        strata, local = stratum_classes(found, index)
+        _, local, openness = stratum_classes(found, index, generations.__getitem__)
         generation = generations[index]
-        closed = infinite[local]  # U is the principal strata
-        u = set(strata[~closed].tolist())
-        openness = _cover_openness(u, strata[closed].tolist(), args.vars)
         counts[generation.value] += 1
         openness_counts[openness.value] += 1
         total_orbit += orbit
         if args.check:
-            for k in np.unique(local).tolist():
-                if k not in consistent:
-                    profile = classify_up_to(reps[k][0], args.p, args.max_e)
-                    consistent[k] = profile.finitely_generated_consistent
+            profile = classify_up_to(ideal, args.p, args.max_e)
+            consistent[index] = profile.finitely_generated_consistent
             # a principal verdict disagrees with an inconsistent profile, an
             # infinite one with a consistent profile
-            oracle = np.array([consistent[k] for k in local.tolist()], dtype=bool)
             checked += len(local)
-            disagreements += int(np.count_nonzero(oracle == infinite[local]))
+            disagreements += int(np.count_nonzero(consistent[local] == infinite[local]))
         rows.append(
             {
                 "generators": _gens_json(ideal),
@@ -528,12 +525,22 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ValueError(f"--max-e must be >= 1, got {args.max_e}")
         if getattr(args, "vars", None) is not None and args.vars < 1:
             raise ValueError(f"--vars must be >= 1, got {args.vars}")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ResourceLimit, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except (FroblocError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,9 @@ meets V(I), phi_W(I) is again a proper up-set containing [n], so it is one
 of the enumerated classes, found by its least image among the sorted keys
 (``stratum_classes``).  One decomposition per class then decides every
 stratum of every class, and openness is the single-bit-cover rule of
-``locus`` (``_cover_openness``) on the infinite strata.
+``locus`` (``_cover_openness``) on the infinite strata.  The generators
+g & Z of phi_W(I) lie below the g, so no stratum localizes to a later
+class: ``enumerate --check`` runs the oracle once per class, in class order.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from __future__ import annotations
 import functools
 from itertools import permutations
 from math import factorial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .locus import Openness, _cover_openness
 from .monomials import MonomialIdeal, mask_to_exponents
+from .symbolic import GenerationClass
 
 # the truth table of an up-set on n variables has 2^n bits, one uint64 word;
 # the census has 16351 classes at n = 6 (OEIS A003182 minus the constants)
@@ -216,20 +220,28 @@ def _localized(table: int, n: int) -> np.ndarray:
     return tables
 
 
-def stratum_classes(census: Census, index: int) -> tuple[np.ndarray, np.ndarray]:
+def stratum_classes(
+    census: Census, index: int, generation: Callable[[int], GenerationClass]
+) -> tuple[np.ndarray, np.ndarray, Openness]:
     """The strata of the class ``index`` that meet V(I), as ascending
-    Z-masks, and the class index of the localized ideal phi_W(I) on each.
+    Z-masks, the class index of the localized ideal phi_W(I) on each, and
+    the openness of U, where ``generation(k)`` is the verdict of class k.
 
     A stratum meets V(I) iff phi_W(I) is proper, i.e. bit 0 of its table is
     clear; phi_W(I) then contains x^[n] and is itself a census class, found
-    by its least image among the sorted keys."""
+    by its least image among the sorted keys.  Its generators g & Z lie
+    below the g, so its printed key (generator count, then lex-least masks)
+    is never above I's: its class index never exceeds ``index``."""
     local = _localized(int(census.tables[index]), census.n)
     strata = np.flatnonzero(local & np.uint64(1) == 0)
     least, _ = _canonical(local[strata], census.n)
     at = np.searchsorted(census.keys, least).clip(max=len(census.keys) - 1)
     if (census.keys[at] != least).any():
         raise RuntimeError("a localized ideal is missing from the census")
-    return strata, census.key_class[at]
+    classes = census.key_class[at]
+    closed = [generation(k) is GenerationClass.INFINITE for k in classes.tolist()]
+    u = set(strata[np.logical_not(closed)].tolist())
+    return strata, classes, _cover_openness(u, strata[closed].tolist(), census.n)
 
 
 @functools.cache

@@ -20,6 +20,33 @@ single-bit covers z | 1 << i.
 A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
 it.  Z-inclusion a <= b is then ``a & ~b == 0``, and a stratum meets V(I)
 iff every generator's support mask intersects Z.
+
+Openness theorem (of this stratum model): U is open and dense in V(I) for
+every square-free monomial ideal I.  Let phi_i set x_i = 1.  If phi_i(I) is
+proper and J(phi_i(I)) != 0, then J(I) != 0.  A cover Z | {i} of a stratum
+Z has phi_W(I) = phi_i(phi_{W minus i}(I)), so an infinite stratum of V(I) has
+only infinite covers: the infinite strata are upward-closed, U^c is closed
+and U is open in V(I).  ``build_locus`` and the census still decide
+openness from their verdicts, an independent check of the theorem.
+
+Proof, by witness lifting through the colon-free criterion of ``symbolic``:
+J(I) != 0 iff some v in supp(I) has, for each generator g containing v, a
+generator h_g missing v whose q-set T, the union of the h_g minus g,
+contains no generator; (v, h) is then a witness.  Let (v, h') witness
+phi_i(I), with q-set T'; v != i, as x_i is not in supp(phi_i(I)).  For each
+generator g of I containing v, take a generator g' of phi_i(I) inside
+g minus i.  If g' contains v, let h_g be a generator of I with h_g minus i
+equal to h'_{g'}; otherwise let h_g be a generator of I with h_g minus i
+equal to g'.  Either way h_g misses v, and h_g minus g lies in
+(h'_{g'} minus g') with i in the first case and in {i} in the second, so T
+lies in T' with i.  A generator f of I inside T' with i would leave
+f minus i inside T', and f minus i contains a generator of phi_i(I), unless
+f = {i}, which makes phi_i(I) the unit.  So (v, h) witnesses I.
+
+Density: on a minimal stratum Z of V(I) (a minimal prime), phi_W(I) is
+generated by the variables of Z, and the criterion gives J = 0, since the
+q-set {w} of any choice contains the generator x_w.  So U holds every
+generic point of V(I) and has nonempty interior.
 """
 
 from __future__ import annotations

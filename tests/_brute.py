@@ -173,23 +173,33 @@ def generator_masks(ideal, z=None):
     masks = {sum(1 << i for i, c in enumerate(g) if c) for g in ideal.generators()}
     if z is not None:
         masks = {m & z for m in masks}
+    return minimal_masks(masks)
+
+
+def minimal_masks(masks):
+    """The minimal members of a set of masks."""
     return [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
 
 
 def j_nonzero(masks):
     """The colon-free criterion: J != 0 iff some variable v of supp(I) has,
     for each generator g containing v, a generator h_g missing v such that
-    the union of the h_g minus g contains no generator.  A DFS over the
-    choices of h_g, cut as soon as the union contains a generator (the union
-    only grows)."""
+    the q-set, the union of the h_g minus g, contains no generator.  Returns
+    a witness (v, h), v a bit index and h the dict g -> h_g, or None.  A DFS
+    over the choices of h_g, cut as soon as the q-set contains a generator
+    (it only grows)."""
 
     def extend(through, avoiding, q_set):
         if any(g & ~q_set == 0 for g in masks):
-            return False
+            return None
         if not through:
-            return True
+            return {}
         g = through[0]
-        return any(extend(through[1:], avoiding, q_set | h & ~g) for h in avoiding)
+        for h in avoiding:
+            rest = extend(through[1:], avoiding, q_set | h & ~g)
+            if rest is not None:
+                return {g: h, **rest}
+        return None
 
     support = 0
     for g in masks:
@@ -197,9 +207,48 @@ def j_nonzero(masks):
     for v in range(support.bit_length()):
         through = [g for g in masks if g >> v & 1]
         avoiding = [h for h in masks if not h >> v & 1]
-        if through and avoiding and extend(through, avoiding, 0):
-            return True
-    return False
+        h = extend(through, avoiding, 0) if through and avoiding else None
+        if h is not None:
+            return v, h
+    return None
+
+
+def is_witness(masks, v, h):
+    """Whether (v, h) meets the criterion's definition on these generator
+    masks: v lies in some generator, h sends each generator g containing v
+    to a generator missing v, and the q-set, the union of the h[g] minus g,
+    contains no generator."""
+    through = {g for g in masks if g >> v & 1}
+    if not through or set(h) != through:
+        return False
+    if any(h[g] not in masks or h[g] >> v & 1 for g in through):
+        return False
+    q_set = 0
+    for g in through:
+        q_set |= h[g] & ~g
+    return not any(f & ~q_set == 0 for f in masks)
+
+
+def lift_witness(masks, i, witness):
+    """A witness (v, h) for the generator masks of I, built from a witness
+    (v, h') for phi_i(I) (x_i set to 1, i a bit index) as in the
+    witness-lifting proof of the ``frobloc.locus`` docstring.  For each
+    generator g through v, g' is a generator of phi_i(I) inside g minus i;
+    h_g is a generator of I that becomes h'_{g'} if g' contains v, and g'
+    otherwise."""
+    v, h_local = witness
+    drop = ~(1 << i)
+    local = minimal_masks({g & drop for g in masks})
+
+    def preimage(m):  # a generator of I that becomes m once x_i = 1
+        return next(g for g in masks if g & drop == m)
+
+    h = {}
+    for g in masks:
+        if g >> v & 1:
+            g_local = next(m for m in local if m & ~g == 0)
+            h[g] = preimage(h_local[g_local] if g_local >> v & 1 else g_local)
+    return v, h
 
 
 def is_open(members, universe):

@@ -1,11 +1,18 @@
+import fcntl
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import _brute
 from frobloc import cli
 from frobloc.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
     EXIT_INVALID,
     EXIT_OK,
@@ -196,7 +203,7 @@ class TestCommands:
             return oracle(ideal, p, max_e)
 
         monkeypatch.setattr(cli, "classify_up_to", counting)
-        path8 = ", ".join(f"x{i}*x{i + 1}" for i in range(1, 8))
+        path8 = _path(8)
         assert main(["locus", path8, "--p", "2", "--check"]) == EXIT_OK
         assert "Z={" in capsys.readouterr().out
         # 55 strata and 32 distinct substituted ideals; one oracle run per
@@ -240,6 +247,8 @@ class TestCommands:
         # each of the 28 classes on four variables is the base of its own
         # full stratum, and every localized base is in one of them
         assert len(bases) == len({_brute_class(b) for b in bases}) == 28
+        # in class order: no stratum localizes to a later class
+        assert bases == [ideal for ideal, _ in canonical_squarefree_ideals(4)]
 
     def test_locus_full_ambient(self, capsys):
         assert main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--ambient", "full"]) == 0
@@ -431,6 +440,50 @@ class TestExitCodes:
     def test_prime_beyond_exact_range(self, capsys):
         assert main(["classify", "x1*x2", "--p", str(10**30)]) == EXIT_INVALID
         assert "too large" in capsys.readouterr().err
+
+
+def _path(n):
+    return ", ".join(f"x{i}*x{i + 1}" for i in range(1, n))
+
+
+def _child(argv, **kwargs):
+    """frobloc's main in a fresh interpreter, on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    command = [sys.executable, "-m", "frobloc.cli", *argv]
+    return subprocess.Popen(command, env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestProcessExits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--vars", "5", "--p", "2"],
+            ["locus", _path(12), "--p", "2", "--ambient", "full"],
+        ],
+    )
+    def test_closed_pipe_exits_quietly(self, argv):
+        # a one-page pipe: the child blocks on it long before its output ends,
+        # so it is still writing when the reader goes away after one line
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+        child = _child(argv, stdout=write_end)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as out:
+            assert out.readline()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == EXIT_BROKEN_PIPE
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+
+    def test_out_of_memory_is_a_resource_limit(self):
+        # the dense rows of 10^8 variables need 800 MB; the child may map 400
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        argv = ["classify", "x1*x2", "--vars", "100000000", "--p", "2"]
+        child = _child(argv, stdout=subprocess.PIPE, preexec_fn=cap)
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == EXIT_RESOURCE
+        assert out == b"" and err == b"error: out of memory\n"
 
 
 class TestRepeatedMain:

@@ -13,7 +13,7 @@ from frobloc.enumeration import (
     stratum_classes,
     symmetry_class,
 )
-from frobloc.locus import _cover_openness, build_locus, enumerate_strata, u_prime_strata
+from frobloc.locus import build_locus, enumerate_strata, u_prime_strata
 from frobloc.monomials import (
     MonomialIdeal,
     exponents_to_mask,
@@ -168,17 +168,6 @@ def _truth_table(ideal):
     return sum(1 << m for m in range(1 << ideal.n) if any(g & m == g for g in masks))
 
 
-def _census_locus(c, index, generation):
-    """(strata, their verdicts, openness) of one class through the census
-    lookup, openness by the shared single-bit-cover rule; ``generation(k)``
-    is the global class of class k."""
-    strata, local = stratum_classes(c, index)
-    strata = strata.tolist()
-    verdicts = [generation(k) for k in local.tolist()]
-    u = {z for z, g in zip(strata, verdicts) if g is GenerationClass.PRINCIPAL}
-    return strata, verdicts, _cover_openness(u, [z for z in strata if z not in u], c.n)
-
-
 def _assert_matches_build_locus(c, indexes, p):
     generation = functools.cache(
         lambda k: decompose(c.classes[k][0], p).generation_class
@@ -186,13 +175,17 @@ def _assert_matches_build_locus(c, indexes, p):
     checked = 0
     for index in indexes:
         ideal = c.classes[index][0]
-        strata, verdicts, openness = _census_locus(c, index, generation)
+        strata, local, openness = stratum_classes(c, index, generation)
+        strata = strata.tolist()
         report = build_locus(ideal, p)
         assert strata == [s.mask for s in enumerate_strata(ideal)], ideal
         assert strata == [v.stratum.mask for v in report.verdicts], ideal
+        verdicts = [generation(k) for k in local.tolist()]
         assert verdicts == [v.generation for v in report.verdicts], ideal
         assert openness is report.openness, ideal
         assert generation(index) is report.decomposition.generation_class
+        # no stratum localizes to a later class: the order the oracle runs in
+        assert local.max() <= index, ideal
         checked += len(strata)
     return checked
 
@@ -232,7 +225,7 @@ def test_stratum_lookup_misses_raise(censuses):
     kept = c.keys != _canonical(x1, 3)[0]
     broken = c._replace(keys=c.keys[kept], key_class=c.key_class[kept])
     with pytest.raises(RuntimeError, match="missing from the census"):
-        stratum_classes(broken, index)
+        stratum_classes(broken, index, lambda k: GenerationClass.PRINCIPAL)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -247,8 +240,9 @@ def test_abstract_claims_hold_on_the_census(censuses, p):
             lambda k, c=c: decompose(c.classes[k][0], p).generation_class
         )
         for index, (ideal, _) in enumerate(c.classes):
-            strata, verdicts, _ = _census_locus(c, index, generation)
-            u = {z for z, g in zip(strata, verdicts) if g is GenerationClass.PRINCIPAL}
+            strata, local, _ = stratum_classes(c, index, generation)
+            closed = [generation(k) is GenerationClass.INFINITE for k in local.tolist()]
+            u = set(strata[~np.array(closed)].tolist())
             assert u, ideal
             u_prime = u_prime_strata(ideal, compute_u_prime(decompose(ideal, p)))
             u_prime = {s.mask for s in u_prime}

@@ -119,6 +119,10 @@ def _families():
         for json_flag in ([], ["--json"])
         for check in ([], ["--check"])
     )
+    yield "enumerate-5", lambda: (
+        (["enumerate", "--vars", "5", "--p", "2", "--json"] + check, {})
+        for check in ([], ["--check"])
+    )
     yield "errors", lambda: iter(ERROR_CASES)
 
 
@@ -134,6 +138,7 @@ EXPECTED = {
     "graphs": "692b78ff6fdc52bdc25c583cf3438156a504f021456b0f690f2410c30652cf3f",
     "graphs-modes": "f77817e58c1a0e395b33ee4cabedc2e80d8bb446d3b7e7d147099e2b7f73dac8",
     "enumerate": "ad525bcb13c85b0981f2ee750272f48b6f795da53d42c1cb22c67a6b8ed049a7",
+    "enumerate-5": "64c51e64b4efadff00940682b71344b8abe241ae9d2e3b4ec3af927ddbb6aebf",
     "errors": "39cd600a9a075200a1e7927a5ff4ead40af003b7f237f098425aa26aa0a0f315",
 }
 
