@@ -284,33 +284,44 @@ def _cmd_locus(args) -> int:
     return EXIT_OK
 
 
+def _oracle_key(ideal: MonomialIdeal) -> MonomialIdeal:
+    """The ideal on its support, the variables stable-sorted by the number
+    of generators through each and the sorted degrees of those generators.
+
+    This is a relabelling of the ideal with its unused variables dropped, so
+    it has the same oracle answer; ideals that differ only by such a
+    relabelling mostly share it."""
+    gens = ideal.gens
+    degrees = gens.sum(axis=1)
+
+    def signature(var):
+        through = gens[:, var] > 0
+        return int(through.sum()), sorted(degrees[through].tolist())
+
+    used = sorted(np.flatnonzero(gens.any(axis=0)).tolist(), key=signature)
+    return MonomialIdeal.from_matrix(gens[:, used], len(used))
+
+
 def _disagreements(
     verdicts,
     p: int,
     max_e: int,
-    memo: "dict[int | MonomialIdeal, tuple[bool, tuple[bool, ...]]]",
+    memo: "dict[MonomialIdeal, tuple[bool, tuple[bool, ...]]]",
 ):
     """Yield (verdict, oracle needs_new flags) for each verdict the oracle
     contradicts.
 
-    ``memo`` maps the symmetry class of each substituted ideal (the ideal
-    itself when its support is too large for a class key) to the oracle's
-    (finitely_generated_consistent, needs_new), never to a whole profile
-    with its F_e and L_e ideals.  The oracle's answer does not change under
-    relabelling the variables or dropping unused ones, and strata share
-    their substituted ideals up to both.  Only the principal/infinite
-    verdict is compared: every infinite verdict carries the
-    ComplementPattern certificate."""
-    # imported on use: commands without --check never load the enumeration
-    from .enumeration import symmetry_class
-
+    The oracle runs on the ``_oracle_key`` of each substituted ideal, and
+    ``memo`` maps that key to the oracle's (finitely_generated_consistent,
+    needs_new), never to a whole profile with its F_e and L_e ideals.  The
+    oracle's answer does not change under relabelling the variables or
+    dropping unused ones, and strata share their substituted ideals up to
+    both.  Only the principal/infinite verdict is compared: every infinite
+    verdict carries the ComplementPattern certificate."""
     for verdict in verdicts:
-        base = verdict.substituted
-        key = symmetry_class(base)
-        if key is None:
-            key = base
+        key = _oracle_key(verdict.substituted)
         if key not in memo:
-            profile = classify_up_to(base, p, max_e)
+            profile = classify_up_to(key, p, max_e)
             memo[key] = profile.finitely_generated_consistent, profile.needs_new
         consistent, needs_new = memo[key]
         if (verdict.generation is GenerationClass.PRINCIPAL) != consistent:

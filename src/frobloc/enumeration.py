@@ -33,7 +33,6 @@ class: ``enumerate --check`` runs the oracle once per class, in class order.
 from __future__ import annotations
 
 import functools
-from itertools import permutations
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -243,31 +242,3 @@ def stratum_classes(
     u = set(strata[np.logical_not(closed)].tolist())
     return strata, classes, _cover_openness(u, strata[closed].tolist(), census.n)
 
-
-@functools.cache
-def _permuted_masks(n: int) -> np.ndarray:
-    """(n!, 2^n) table: row s maps each subset mask m to its image under the
-    s-th permutation of the variables."""
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    perms = np.array(list(permutations(range(n))))
-    table = (bits[None, :, :] << perms[:, None, :]).sum(axis=2).astype(np.uint64)
-    table.setflags(write=False)
-    return table
-
-
-def symmetry_class(ideal: MonomialIdeal) -> "int | None":
-    """A key shared exactly by the square-free ideals that agree after
-    dropping unused variables and relabelling the rest: the least image of
-    the truth table of the ideal on its support (whose top bit, the product
-    of the support, gives the support size).  None when the ideal is not
-    square-free or its support is empty or has more than
-    ``MAX_ENUMERATION_VARS`` variables."""
-    used = ideal.gens.any(axis=0)
-    n = int(used.sum())
-    if not 1 <= n <= MAX_ENUMERATION_VARS or ideal.gens.max() > 1:
-        return None
-    masks = ideal.gens[:, used] @ (1 << np.arange(n))
-    subsets = np.arange(1 << n)
-    members = ((subsets[:, None] & masks) == masks).any(axis=1)
-    images = (np.uint64(1) << _permuted_masks(n)[:, members]).sum(axis=1)
-    return int(images.min())

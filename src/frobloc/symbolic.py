@@ -294,6 +294,15 @@ def compute_u_prime(decomposition: ColonDecomposition) -> MonomialIdeal:
 
     A = (I^[p] : J_p) at e = 1; when J is zero the quotient vanishes and A
     is the unit ideal.
+
+    A's supports, and with them U', do not depend on p.  J's rank rows do
+    not involve p, and J_p puts p-1 on rank 1 and p on rank 2.  A is the
+    intersection over J's generators x^j of the ideals generated by the
+    quotients x^(max(p*h, j) - j) over I's generators x^h.  Where h_i = 1
+    the quotient sends j's ranks 0, 1, 2 to p, 1, 0; elsewhere it gives 0.
+    So every quotient has exponents in {0, 1, p} in a pattern fixed by h
+    and j.  lcm and minimalization only compare exponents, and 0 < 1 < p is
+    order-isomorphic to 0 < 1 < 2, so A is that pattern at every p.
     """
     if decomposition.j_part.is_zero():
         return MonomialIdeal.unit(decomposition.base.n)

@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _brute
 from frobloc import cli
@@ -26,7 +28,7 @@ from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import AmbientMismatch, InadmissibleStratum
 from frobloc.locus import build_locus
 from frobloc.monomials import MonomialIdeal
-from frobloc.oracle import GenerationProfile
+from frobloc.oracle import GenerationProfile, classify_up_to
 from frobloc.symbolic import GenerationClass
 
 
@@ -207,17 +209,17 @@ class TestCommands:
         assert main(["locus", path8, "--p", "2", "--check"]) == EXIT_OK
         assert "Z={" in capsys.readouterr().out
         # 55 strata and 32 distinct substituted ideals; one oracle run per
-        # class up to relabelling and unused variables, and per base for
-        # the bases on more than six variables, which have no class key
+        # oracle key, each a relabelling of its ideals on their support
         report = build_locus(parse_ideal(path8), 2)
         local = {v.substituted for v in report.verdicts}
         assert len(report.verdicts) == 55 and len(local) == 32
-
-        def key(base):
-            return _brute_class(base) if _support(base) <= 6 else base
-
-        assert len(bases) == len({key(b) for b in bases}) == 13
-        assert {key(b) for b in local} == {key(b) for b in bases}
+        assert len(bases) == len(set(bases)) == 11
+        assert all(_support(base) == base.n for base in bases)
+        for ideal in local:
+            key = cli._oracle_key(ideal)
+            assert key in bases
+            if _support(ideal) <= 6:
+                assert _brute_class(key) == _brute_class(ideal)
 
     def test_check_memo_keeps_no_oracle_profile(self):
         # only the verdict and the needs_new flags outlive each oracle run,
@@ -260,6 +262,47 @@ class TestCommands:
         assert main(["locus", "x1*x2*x3, x3*x4", "--p", "2"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "note:" in out and "D(x1*x3*x4)" in out
+
+
+@st.composite
+def padded_ideals(draw):
+    """(ideal on its <= 6 support variables, the same ideal with unused
+    variables inserted at random positions, <= 10 variables in all)."""
+    support = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(1, (1 << support) - 1), min_size=1, max_size=8))
+    n = draw(st.integers(support, 10))
+    places = sorted(draw(st.permutations(range(n)))[:support])
+    rows = [[m >> i & 1 for i in range(support)] for m in masks]
+    padded = [[0] * n for _ in rows]
+    for row, wide in zip(rows, padded):
+        for i, place in enumerate(places):
+            wide[place] = row[i]
+    return MonomialIdeal(rows, support), MonomialIdeal(padded, n)
+
+
+class TestOracleKey:
+    """``cli._oracle_key`` relabels an ideal on its support, which is what
+    lets the ``locus --check`` memo share one oracle run between ideals."""
+
+    def test_keeps_the_class(self, squarefree_classes):
+        for n in range(1, 6):
+            for ideal, _ in squarefree_classes(n):
+                assert _brute_class(cli._oracle_key(ideal)) == _brute_class(ideal)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_keeps_the_oracle_flags(self, squarefree_classes, p):
+        for n in range(1, 5):
+            for ideal, _ in squarefree_classes(n):
+                key = cli._oracle_key(ideal)
+                assert _support(key) == key.n
+                expected = classify_up_to(ideal, p, 3).needs_new
+                assert classify_up_to(key, p, 3).needs_new == expected, ideal
+
+    @given(padded_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_ignores_unused_variables(self, case):
+        ideal, padded = case
+        assert cli._oracle_key(padded) == cli._oracle_key(ideal)
 
 
 class TestExitCodes:

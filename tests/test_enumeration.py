@@ -11,7 +11,6 @@ from frobloc.enumeration import (
     canonical_squarefree_ideals,
     ideal_from_masks,
     stratum_classes,
-    symmetry_class,
 )
 from frobloc.locus import build_locus, enumerate_strata, u_prime_strata
 from frobloc.monomials import (
@@ -121,43 +120,6 @@ def test_class_counts_and_orbit_sums(n, classes, ideals):
     assert sum(orbit for _, orbit in reps) == ideals
 
 
-def _relabelled(ideal, m, rng):
-    """The ideal on m >= n variables, its variables sent to random places."""
-    places = rng.sample(range(m), ideal.n)
-    rows = []
-    for g in ideal.generators():
-        row = [0] * m
-        for i, c in enumerate(g):
-            row[places[i]] = c
-        rows.append(row)
-    return MonomialIdeal(rows, m)
-
-
-def test_symmetry_class_is_a_complete_invariant():
-    rng = random.Random(11)
-    keys = {}
-    for n in range(1, 6):
-        for ideal, _ in canonical_squarefree_ideals(n):
-            key = symmetry_class(ideal)
-            assert key is not None
-            for m in (n, n + 1, 8):
-                assert symmetry_class(_relabelled(ideal, m, rng)) == key
-            used = tuple(sorted({i for g in ideal.generators() for i, c in enumerate(g) if c}))
-            if len(used) == n:
-                assert key not in keys, (ideal, keys.get(key))
-                keys[key] = ideal
-    # every class on five variables has exactly one full-support class on
-    # its support
-    assert len(keys) == 208
-
-
-def test_symmetry_class_outside_its_range():
-    assert symmetry_class(MonomialIdeal([(1,) * 7])) is None
-    assert symmetry_class(MonomialIdeal([(2, 1)])) is None
-    assert symmetry_class(MonomialIdeal.unit(3)) is None
-    assert symmetry_class(MonomialIdeal.zero(3)) is None
-
-
 # ---------------------------------------------------------------------------
 # the census: each stratum's class looked up, not classified
 
@@ -251,3 +213,19 @@ def test_abstract_claims_hold_on_the_census(censuses, p):
             empty += not u_prime
             equal += u_prime == u
     assert (classes, empty, equal) == (248, 13, 83)
+
+
+def test_u_prime_does_not_depend_on_p(squarefree_classes):
+    # A = (I^[p] : J_p) has exponents in {0, 1, p} in a pattern that does not
+    # involve p (the compute_u_prime docstring): its generator supports and
+    # the strata of U' are the same at every p
+    for n in range(1, 6):
+        for ideal, _ in squarefree_classes(n):
+            seen = set()
+            for p in (2, 3, 5, 7):
+                annihilator = compute_u_prime(decompose(ideal, p))
+                assert set(annihilator.gens.ravel().tolist()) <= {0, 1, p}, ideal
+                supports = tuple(exponents_to_mask(g) for g in annihilator.generators())
+                strata = tuple(s.mask for s in u_prime_strata(ideal, annihilator))
+                seen.add((supports, strata))
+            assert len(seen) == 1, ideal

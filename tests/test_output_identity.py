@@ -113,6 +113,12 @@ def _families():
             ),
         )
     )
+    yield "locus-check", lambda: (
+        (argv, {})
+        for argv in _ideal_commands(
+            itertools.chain(_classes(), _graphs()), (2,), [("locus", "--check")]
+        )
+    )
     yield "enumerate", lambda: (
         (["enumerate", "--vars", str(n), "--p", "2"] + json_flag + check, {})
         for n in range(1, 5)
@@ -137,6 +143,7 @@ EXPECTED = {
     "locus-full": "9949aab5d2b6bd989b43593c50c3c0ca513fc3e47895e8b1eabe695b2d2e7351",
     "graphs": "692b78ff6fdc52bdc25c583cf3438156a504f021456b0f690f2410c30652cf3f",
     "graphs-modes": "f77817e58c1a0e395b33ee4cabedc2e80d8bb446d3b7e7d147099e2b7f73dac8",
+    "locus-check": "a373ce9c5500057955e67ed9a6a4f0ef30f1448d733b82f71487bbbc5fb63fe1",
     "enumerate": "ad525bcb13c85b0981f2ee750272f48b6f795da53d42c1cb22c67a6b8ed049a7",
     "enumerate-5": "64c51e64b4efadff00940682b71344b8abe241ae9d2e3b4ec3af927ddbb6aebf",
     "errors": "39cd600a9a075200a1e7927a5ff4ead40af003b7f237f098425aa26aa0a0f315",
