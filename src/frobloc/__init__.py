@@ -15,7 +15,6 @@ from .symbolic import (
     ColonDecomposition,
     GenerationClass,
     SymbolicIdeal,
-    SymExp,
     colon_symbolic,
     compute_beta,
     compute_u_prime,
@@ -23,7 +22,6 @@ from .symbolic import (
     validate_square_free,
 )
 from .locus import (
-    Certificate,
     LocusReport,
     Openness,
     Stratum,
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTIVE_BACKEND",
     "AmbientMismatch",
-    "Certificate",
     "ColonDecomposition",
     "DegenerateIdeal",
     "FroblocError",
@@ -56,7 +53,6 @@ __all__ = [
     "SquareFreeViolation",
     "Stratum",
     "StratumVerdict",
-    "SymExp",
     "SymbolicIdeal",
     "build_locus",
     "classify_stratum",

@@ -119,8 +119,17 @@ def _read_ideal_argument(args) -> MonomialIdeal:
     return parse_ideal(text, args.vars)
 
 
+# each symbolic rank 0, 1, 2 as its exponent a*q + b: 0, q-1, q
+_RANK_JSON = ({"a": 0, "b": 0}, {"a": 1, "b": -1}, {"a": 1, "b": 0})
+# the certificate printed with each stratum verdict
+_CERTIFICATE = {
+    GenerationClass.PRINCIPAL: "DirectTheorem",
+    GenerationClass.INFINITE: "ComplementPattern",
+}
+
+
 def _sym_json(ideal) -> list:
-    return [[{"a": a, "b": b} for a, b in term] for term in ideal.terms()]
+    return [[_RANK_JSON[r] for r in row] for row in ideal.rank_rows()]
 
 
 def _gens_json(ideal: MonomialIdeal) -> list:
@@ -243,7 +252,7 @@ def _locus_text(report: LocusReport, args) -> str:
     for v in report.verdicts:
         lines.append(
             f"  {v.stratum.render():<{width}}  {v.generation.label:<22}"
-            f"{v.certificate.value}"
+            f"{_CERTIFICATE[v.generation]}"
         )
     for s in report.inadmissible:
         lines.append(f"  {s.render():<{width}}  (outside V(I))")
@@ -266,7 +275,7 @@ def _cmd_locus(args) -> int:
             {
                 "in_prime": sorted(v.stratum.in_prime),
                 "class": v.generation.value,
-                "certificate": v.certificate.value,
+                "certificate": _CERTIFICATE[v.generation],
             }
             for v in report.verdicts
         ],
@@ -534,6 +543,10 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ValueError(f"--e must be >= 1, got {args.e}")
         if getattr(args, "max_e", None) is not None and args.max_e < 1:
             raise ValueError(f"--max-e must be >= 1, got {args.max_e}")
+        if getattr(args, "check", False) and args.max_e < 2:
+            # the oracle's verdict reads degrees 2.. only: depth 1 calls
+            # every ideal finite
+            raise ValueError(f"--check needs --max-e >= 2, got {args.max_e}")
         if getattr(args, "vars", None) is not None and args.vars < 1:
             raise ValueError(f"--vars must be >= 1, got {args.vars}")
         code = args.handler(args)

@@ -25,7 +25,7 @@ meets V(I), phi_W(I) is again a proper up-set containing [n], so it is one
 of the enumerated classes, found by its least image among the sorted keys
 (``stratum_classes``).  One decomposition per class then decides every
 stratum of every class, and openness is the single-bit-cover rule of
-``locus`` (``_cover_openness``) on the infinite strata.  The generators
+``locus`` (``is_open``) on the infinite strata.  The generators
 g & Z of phi_W(I) lie below the g, so no stratum localizes to a later
 class: ``enumerate --check`` runs the oracle once per class, in class order.
 """
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .locus import Openness, _cover_openness
+from .locus import Openness, is_open
 from .monomials import MonomialIdeal, mask_to_exponents
 from .symbolic import GenerationClass
 
@@ -240,5 +240,5 @@ def stratum_classes(
     classes = census.key_class[at]
     closed = [generation(k) is GenerationClass.INFINITE for k in classes.tolist()]
     u = set(strata[np.logical_not(closed)].tolist())
-    return strata, classes, _cover_openness(u, strata[closed].tolist(), census.n)
+    return strata, classes, is_open(u, strata[closed].tolist(), census.n)
 

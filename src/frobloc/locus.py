@@ -14,7 +14,7 @@ global decomposition: its J rows are substituted at W and J_Z = 0 iff none
 of them is residual; the verdict keeps only phi_W(I) (``substituted``).
 Two lists give the strata, ``all_strata(n)`` and ``enumerate_strata(I)``
 (those meeting V(I)), both bounded by MAX_STRATA.  Both are upward-closed,
-so openness (``_cover_openness``, the census's too) and the display walk
+so openness (``is_open``, the census's too) and the display walk
 single-bit covers z | 1 << i.
 
 A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
@@ -105,11 +105,6 @@ class Stratum:
         return "Z={" + ",".join(map(str, _indexes(self.mask))) + "}"
 
 
-class Certificate(enum.Enum):
-    DIRECT = "DirectTheorem"
-    COMPLEMENT = "ComplementPattern"
-
-
 class Openness(enum.Enum):
     OPEN = "open"
     NOT_OPEN = "not_open"
@@ -124,12 +119,6 @@ class StratumVerdict:
     stratum: Stratum
     generation: GenerationClass
     substituted: MonomialIdeal  # phi_W(I), the ideal's image on the stratum
-
-    @property
-    def certificate(self) -> Certificate:
-        if self.generation is GenerationClass.PRINCIPAL:
-            return Certificate.DIRECT
-        return Certificate.COMPLEMENT
 
 
 # the strata are enumerated one by one, 2^n of them; the scan alone takes
@@ -239,27 +228,18 @@ def _upward_closure(family: Iterable[int], n: int) -> set[int]:
     return closure
 
 
-def _cover_openness(u: Container[int], outside: Iterable[int], n: int) -> Openness:
+def is_open(u: Container[int], outside: Iterable[int], n: int) -> Openness:
     """Openness of the strata ``u`` (Z-masks) in an upward-closed universe
     whose other strata are ``outside``: open iff the outside is
-    upward-closed, i.e. no stratum outside has a single-bit cover
-    z | 1 << i in u.  Each such cover lies in the universe."""
+    upward-closed under Z-inclusion, i.e. no stratum outside has a
+    single-bit cover z | 1 << i in u.  Each such cover lies in the universe.
+
+    All strata and the strata meeting V(I) are upward-closed universes (every
+    Z-superset of a member is a member).
+    """
     if any(z | 1 << i in u for z in outside for i in range(n)):
         return Openness.NOT_OPEN
     return Openness.OPEN
-
-
-def is_open(members: Iterable[Stratum], universe: Sequence[Stratum]) -> Openness:
-    """Openness of a union of strata inside the given ambient: open iff the
-    complementary index family is upward-closed under Z-inclusion.
-
-    The universe must be upward-closed (every Z-superset of a member is a
-    member), as all strata and the strata meeting V(I) are: each complement
-    stratum's single-bit covers are then all that is read.
-    """
-    n = universe[0].n if universe else 0
-    u = {s.mask for s in members}
-    return _cover_openness(u, (s.mask for s in universe if s.mask not in u), n)
 
 
 def render_expression(members: Iterable[Stratum], universe: Sequence[Stratum]) -> str:
@@ -368,7 +348,9 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
     verdicts = tuple(classify_stratum(global_d, s) for s in admissible)
 
     u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
-    openness = is_open(u, universe)
+    masks = {s.mask for s in u}
+    outside = (s.mask for s in universe if s.mask not in masks)
+    openness = is_open(masks, outside, ideal.n)
     expression_u = render_expression(u, universe)
     expression_complement = render_expression(set(universe) - set(u), universe)
 

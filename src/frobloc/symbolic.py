@@ -16,10 +16,11 @@ A symbolic monomial is a row of ranks, one per variable: 0 for the exponent
 0 < 1 < 2 for every q >= 2, so a symbolic ideal is the monomial ideal of its
 ranks, the instance at q = 2: uniform divisibility, lcm and minimalization
 are those of ``MonomialIdeal``, and the symbolic colon is the concrete colon
-at q = 2.  The affine form a*q + b (``SymExp``) appears only at the
-boundary, in construction and ``terms()``; ``render()`` prints each rank
-through a fixed suffix: none, ``^(q-1)`` or ``^q``.  For the same reason
-I^[2] is the rank image of I^[q]: a 0/1 generator scales to ranks 0 and 2.
+at q = 2.  For the same reason I^[2] is the rank image of I^[q]: a 0/1
+generator scales to ranks 0 and 2.  Ranks are the one stored encoding: a
+symbolic ideal is built from its rank ideal and read back as rank rows
+(``rank_rows()``); ``render()`` prints each rank through a fixed suffix,
+none, ``^(q-1)`` or ``^q``, and the CLI's JSON writes it as a*q + b.
 
 One residual-row test (``_residual_rows``: rank rows outside I^[2] and not
 above beta) cuts J out of the colon here, and decides each stratum in
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,61 +56,32 @@ from .errors import DegenerateIdeal, FroblocError, SquareFreeViolation
 from .monomials import _MAX_EXPONENT, MonomialIdeal, PrimePower, require_prime
 
 
-class SymExp(NamedTuple):
-    """The affine exponent a*q + b."""
-
-    a: int
-    b: int
-
-
-# the exponent of each rank, as an affine form a*q + b and as printed
-_RANK_FORMS = (SymExp(0, 0), SymExp(1, -1), SymExp(1, 0))
-_FORM_RANK = {form: rank for rank, form in enumerate(_RANK_FORMS)}
+# the exponent of each rank as printed
 _RANK_SUFFIX = ("", "^(q-1)", "^q")
 # q = 2: I^[2] is the rank image of I^[q] for a square-free I
 _Q2 = PrimePower(2, 1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SymbolicIdeal:
     """Antichain of symbolic monomials, uniform over all q >= 2.
 
     ``ranks`` is the ideal at q = 2: its exponents 0, 1, 2 are the ranks of
-    0, q-1, q.  The map 0 -> 0, 1 -> q-1, 2 -> q is strictly increasing for
-    every q >= 2, so divisibility, lcm and minimalization of the rank ideal
-    are those of every instance at once.
+    0, q-1, q, and no other exponent is accepted.  The map 0 -> 0,
+    1 -> q-1, 2 -> q is strictly increasing for every q >= 2, so
+    divisibility, lcm and minimalization of the rank ideal are those of
+    every instance at once.
     """
 
     ranks: MonomialIdeal
 
-    def __init__(self, terms: Iterable[Sequence[tuple[int, int]]], n: int):
-        rows = []
-        for term in terms:
-            term = list(term)
-            if len(term) != n:
-                raise ValueError(f"expected {n} symbolic exponents, got {len(term)}")
-            try:
-                rows.append([_FORM_RANK[int(a), int(b)] for a, b in term])
-            except KeyError:
-                raise ValueError(
-                    f"symbolic exponent outside {{0, q-1, q}}: {term}"
-                ) from None
-        object.__setattr__(self, "ranks", MonomialIdeal(rows, n))
-
-    @classmethod
-    def _of(cls, ranks: MonomialIdeal) -> "SymbolicIdeal":
-        ideal = cls.__new__(cls)
-        object.__setattr__(ideal, "ranks", ranks)
-        return ideal
+    def __post_init__(self):
+        if self.ranks.gens.max(initial=0) > 2:
+            raise ValueError("symbolic rank above 2: exponents lie in {0, q-1, q}")
 
     @property
     def n(self) -> int:
         return self.ranks.n
-
-    @property
-    def enc(self) -> np.ndarray:
-        """The read-only (m, n) rank matrix, rows in lexicographic order."""
-        return self.ranks.gens
 
     def is_zero(self) -> bool:
         return self.ranks.is_zero()
@@ -117,14 +89,12 @@ class SymbolicIdeal:
     def num_generators(self) -> int:
         return self.ranks.num_generators()
 
-    def _display_rows(self) -> list[list[int]]:
+    def rank_rows(self) -> list[list[int]]:
         """The rank rows in display order: lexicographic by the support (the
         slope vector of a*q + b), then by rank."""
-        return sorted(self.enc.tolist(), key=lambda row: ([r > 0 for r in row], row))
-
-    def terms(self) -> tuple[tuple[SymExp, ...], ...]:
-        """The generators as affine exponents, in display order."""
-        return tuple(tuple(_RANK_FORMS[r] for r in row) for row in self._display_rows())
+        return sorted(
+            self.ranks.gens.tolist(), key=lambda row: ([r > 0 for r in row], row)
+        )
 
     def instantiate(self, q: int) -> MonomialIdeal:
         """The concrete ideal at the given q >= 2."""
@@ -134,7 +104,7 @@ class SymbolicIdeal:
             raise OverflowError(f"q={q} exceeds the int64 guard")
         # 0 -> 0, 1 -> q-1, 2 -> q is strictly increasing, so the lex-sorted
         # rank antichain maps onto a lex-sorted antichain: already canonical
-        exps = np.array([0, q - 1, q], dtype=np.int64)[self.enc]
+        exps = np.array([0, q - 1, q], dtype=np.int64)[self.ranks.gens]
         return MonomialIdeal._from_canonical(exps, self.n)
 
     def render(self) -> str:
@@ -143,7 +113,7 @@ class SymbolicIdeal:
         monomials = (
             "*".join(f"x{i}{_RANK_SUFFIX[r]}" for i, r in enumerate(row, 1) if r)
             or "1"
-            for row in self._display_rows()
+            for row in self.rank_rows()
         )
         return "(" + ", ".join(monomials) + ")"
 
@@ -164,8 +134,6 @@ def validate_square_free(ideal: MonomialIdeal) -> MonomialIdeal:
 
 def compute_beta(ideal: MonomialIdeal) -> tuple[int, ...]:
     """beta_i = 1 iff variable i occurs in some generator."""
-    if ideal.is_zero():
-        return (0,) * ideal.n
     return tuple(int(v) for v in (ideal.gens > 0).any(axis=0))
 
 
@@ -183,7 +151,7 @@ def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
     """
     validate_square_free(ideal)
     require_prime(p)
-    return SymbolicIdeal._of(ideal.frobenius_power(_Q2).colon(ideal))
+    return SymbolicIdeal(ideal.frobenius_power(_Q2).colon(ideal))
 
 
 class GenerationClass(enum.Enum):
@@ -250,7 +218,7 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
     of the rest, those divisible by (x^beta)^(q-1) belong to the socle part;
     whatever remains is J.  Divisibility is the uniform (all q >= 2) one.
     """
-    rows = colon_symbolic(ideal, p).enc
+    rows = colon_symbolic(ideal, p).ranks.gens
     beta = compute_beta(ideal)
     in_image = ideal.frobenius_power(_Q2).contains_each(rows)
     # a subset of a canonical antichain is canonical
@@ -258,8 +226,8 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
     return ColonDecomposition(
         ideal,
         p,
-        SymbolicIdeal._of(MonomialIdeal._from_canonical(frob, ideal.n)),
-        SymbolicIdeal._of(MonomialIdeal._from_canonical(j, ideal.n)),
+        SymbolicIdeal(MonomialIdeal._from_canonical(frob, ideal.n)),
+        SymbolicIdeal(MonomialIdeal._from_canonical(j, ideal.n)),
         beta,
     )
 
@@ -283,8 +251,9 @@ def _outside_socle(rows: np.ndarray, beta: Sequence[int]) -> np.ndarray:
     rows = rows[~(rows >= np.asarray(beta)).all(axis=1)]
     pattern = (rows == 1).any(axis=1) & (rows == 2).any(axis=1)
     if not pattern.all():
-        term = tuple(_RANK_FORMS[r] for r in rows[int(np.argmin(pattern))].tolist())
-        raise FroblocError(f"residual generator without q/q-1 pattern: {term}")
+        bad = rows[[int(np.argmin(pattern))]]
+        row = SymbolicIdeal(MonomialIdeal._from_canonical(bad, rows.shape[1])).render()
+        raise FroblocError(f"residual generator without q/q-1 pattern: {row}")
     return rows
 
 

@@ -140,9 +140,9 @@ def oracle_profile(ideal, p, max_e):
 # fields only
 
 
-def at(exp, q):
-    """A symbolic exponent a*q + b evaluated at a concrete q."""
-    return exp.a * q + exp.b
+def at(rank, q):
+    """The symbolic exponent of a rank (0, q-1 or q) at a concrete q."""
+    return (0, q - 1, q)[rank]
 
 
 def complement_pattern_witness(global_d, stratum, sub):
@@ -157,8 +157,8 @@ def complement_pattern_witness(global_d, stratum, sub):
         0 if i in w else b * (p - 1) for i, b in enumerate(global_d.beta, 1)
     )
     localized_sum = [tuple(p * c for c in g) for g in sub.generators()] + [socle]
-    for term in global_d.j_part.terms():
-        image = tuple(0 if i in w else at(e, p) for i, e in enumerate(term, 1))
+    for row in global_d.j_part.rank_rows():
+        image = tuple(0 if i in w else at(r, p) for i, r in enumerate(row, 1))
         if {image[i - 1] for i in z} >= {0, p - 1, p} and not contains(
             localized_sum, image
         ):

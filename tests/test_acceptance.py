@@ -42,9 +42,8 @@ def _infinite(report):
     )
 
 
-Q = (1, 0)
-QM1 = (1, -1)
-Z0 = (0, 0)
+# the ranks of the exponents q, q-1 and 0
+Q, QM1, Z0 = 2, 1, 0
 
 CHAIN3 = MonomialIdeal([(1, 1, 0), (0, 1, 1)])
 CHAIN4 = MonomialIdeal([(1, 1, 1, 0), (0, 0, 1, 1)])
@@ -88,14 +87,14 @@ class criterion:
 
 
 def test_criterion_1_j_formula_reproduction():
+    def j(rows, n):
+        return SymbolicIdeal(MonomialIdeal(rows, n))
+
     expected = {
-        CHAIN3: (SymbolicIdeal([[Q, QM1, Z0], [Z0, QM1, Q]], 3), (1, 1, 1)),
-        CHAIN4: (
-            SymbolicIdeal([[Q, Q, QM1, Z0], [Z0, Z0, QM1, Q]], 4),
-            (1, 1, 1, 1),
-        ),
+        CHAIN3: (j([[Q, QM1, Z0], [Z0, QM1, Q]], 3), (1, 1, 1)),
+        CHAIN4: (j([[Q, Q, QM1, Z0], [Z0, Z0, QM1, Q]], 4), (1, 1, 1, 1)),
         CHAIN5: (
-            SymbolicIdeal([[QM1, QM1, Q, QM1, Z0], [Z0, Z0, QM1, Q, QM1]], 5),
+            j([[QM1, QM1, Q, QM1, Z0], [Z0, Z0, QM1, Q, QM1]], 5),
             (1, 1, 1, 1, 1),
         ),
     }

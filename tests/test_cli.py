@@ -333,6 +333,21 @@ class TestExitCodes:
         assert out == ""
         assert "--max-e must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["locus", "x1*x2, x2*x3", "--p", "2", "--check", "--max-e", "1"],
+            ["enumerate", "--vars", "3", "--p", "2", "--check", "--max-e", "1"],
+        ],
+    )
+    def test_check_at_depth_one_rejected_before_any_output(self, capsys, argv):
+        # the oracle's verdict ignores degree 1: at depth 1 every ideal would
+        # look finite and every infinite stratum a disagreement
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--check needs --max-e >= 2" in err
+
     def test_oracle_disagreement(self, capsys, monkeypatch):
         def always_infinite(ideal, p, max_e):
             return GenerationProfile(ideal, p, max_e, (), (), (True,) * max_e)

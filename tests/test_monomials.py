@@ -1,6 +1,7 @@
 import pickle
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,30 @@ class TestIdealAlgebra:
     def test_mismatched_ambient(self, chain3):
         with pytest.raises(AmbientMismatch):
             chain3 + MonomialIdeal([(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: MonomialIdeal([(1, 0), (1,)]), AmbientMismatch, "expected 2"),
+        (lambda: MonomialIdeal([(1, -1)]), ValueError, "negative exponent"),
+        (lambda: MonomialIdeal([(2**62, 0)]), OverflowError, "too large"),
+        (lambda: MonomialIdeal([]), ValueError, "ambient variable count"),
+        (
+            lambda: MonomialIdeal.from_matrix(np.array([[1, -1]]), 2),
+            ValueError,
+            "negative exponent",
+        ),
+        (
+            lambda: MonomialIdeal([(2**61,)]) * MonomialIdeal([(2**61,)]),
+            OverflowError,
+            "product exponent",
+        ),
+    ],
+)
+def test_construction_and_product_validate(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestFrobeniusPower:

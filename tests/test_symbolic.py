@@ -13,7 +13,6 @@ from frobloc.monomials import MonomialIdeal, PrimePower, substitute
 from frobloc.symbolic import (
     GenerationClass,
     SymbolicIdeal,
-    SymExp,
     _residual_rows,
     colon_symbolic,
     compute_beta,
@@ -22,9 +21,12 @@ from frobloc.symbolic import (
     validate_square_free,
 )
 
-Q = (1, 0)
-QM1 = (1, -1)
-Z = (0, 0)
+# the ranks of the exponents q, q-1 and 0
+Q, QM1, Z = 2, 1, 0
+
+
+def sym_ideal(rows, n):
+    return SymbolicIdeal(MonomialIdeal(rows, n))
 
 
 class TestValidation:
@@ -52,44 +54,41 @@ class TestBeta:
     def test_partial_support(self):
         assert compute_beta(MonomialIdeal([(1, 0, 0)])) == (1, 0, 0)
 
+    def test_zero_ideal(self):
+        assert compute_beta(MonomialIdeal.zero(3)) == (0, 0, 0)
+
 
 class TestSymbolicIdeal:
     def test_uniform_minimalization(self):
         # q | q^1 uniformly, so the second generator is redundant
-        ideal = SymbolicIdeal([[QM1, Z], [Q, Z]], 2)
-        assert ideal.terms() == ((SymExp(1, -1), SymExp(0, 0)),)
+        ideal = sym_ideal([[QM1, Z], [Q, Z]], 2)
+        assert ideal.rank_rows() == [[QM1, Z]]
 
-    @pytest.mark.parametrize("form", [(0, 1), (0, 2), (0, 3), (2, 1), (1, -3)])
-    def test_forms_outside_rank_chain_rejected(self, form):
+    def test_rank_above_q_rejected(self):
         # only 0, q-1 and q have a rank
         with pytest.raises(ValueError):
-            SymbolicIdeal([[form, Q]], 2)
+            sym_ideal([[3, Q]], 2)
 
     def test_instantiate_validates(self):
-        ideal = SymbolicIdeal([[Q]], 1)
+        ideal = sym_ideal([[Q]], 1)
         with pytest.raises(ValueError):
             ideal.instantiate(1)
         assert ideal.instantiate(9) == MonomialIdeal([(9,)])
 
     def test_instantiate_q_boundary(self):
-        ideal = SymbolicIdeal([[Q]], 1)
+        ideal = sym_ideal([[Q]], 1)
         assert ideal.instantiate(2**62 - 1) == MonomialIdeal([(2**62 - 1,)])
         for q in (2**62, 3**40, 10**100):
             with pytest.raises(OverflowError, match=r"^q=\d+ exceeds the int64 guard"):
                 ideal.instantiate(q)
 
-    def test_negative_at_q2_rejected(self):
-        # q-3 is negative at the q=2 endpoint
-        with pytest.raises(ValueError):
-            SymbolicIdeal([[(1, -3)]], 1)
-
     def test_render(self):
-        ideal = SymbolicIdeal([[Q, QM1, Z, Q]], 4)
+        ideal = sym_ideal([[Q, QM1, Z, Q]], 4)
         assert ideal.render() == "(x1^q*x2^(q-1)*x4^q)"
-        assert SymbolicIdeal([[Z, Z]], 2).render() == "(1)"
-        assert SymbolicIdeal([], 2).render() == "(0)"
+        assert sym_ideal([[Z, Z]], 2).render() == "(1)"
+        assert sym_ideal([], 2).render() == "(0)"
         # display order: by support first, then by rank
-        ideal = SymbolicIdeal([[Q, QM1, Z], [Z, QM1, Q], [QM1, Z, QM1]], 3)
+        ideal = sym_ideal([[Q, QM1, Z], [Z, QM1, Q], [QM1, Z, QM1]], 3)
         assert ideal.render() == (
             "(x2^(q-1)*x3^q, x1^(q-1)*x3^(q-1), x1^q*x2^(q-1))"
         )
@@ -97,20 +96,20 @@ class TestSymbolicIdeal:
 
 class TestColonSymbolic:
     def test_principal_one_variable(self):
-        assert colon_symbolic(MonomialIdeal([(1,)]), 2) == SymbolicIdeal([[QM1]], 1)
+        assert colon_symbolic(MonomialIdeal([(1,)]), 2) == sym_ideal([[QM1]], 1)
 
     def test_two_variables(self):
         # pattern confirmed by the concrete colon at q = 2 and q = 4 below
         ideal = MonomialIdeal([(1, 0), (0, 1)])
         sym = colon_symbolic(ideal, 2)
-        assert sym == SymbolicIdeal([[Q, Z], [QM1, QM1], [Z, Q]], 2)
+        assert sym == sym_ideal([[Q, Z], [QM1, QM1], [Z, Q]], 2)
         for e in (1, 2):
             concrete = ideal.frobenius_power(PrimePower(2, e)).colon(ideal)
             assert sym.instantiate(2**e) == concrete
 
     def test_chain3_minimal_generators(self, chain3):
         sym = colon_symbolic(chain3, 2)
-        assert sym == SymbolicIdeal(
+        assert sym == sym_ideal(
             [[Q, QM1, Z], [Z, QM1, Q], [QM1, QM1, QM1]], 3
         )
 
@@ -125,19 +124,19 @@ class TestDecompose:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_chain3(self, chain3, p):
         d = decompose(chain3, p)
-        assert d.j_part == SymbolicIdeal([[Q, QM1, Z], [Z, QM1, Q]], 3)
+        assert d.j_part == sym_ideal([[Q, QM1, Z], [Z, QM1, Q]], 3)
         assert d.beta == (1, 1, 1)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_chain4(self, chain4, p):
         d = decompose(chain4, p)
-        assert d.j_part == SymbolicIdeal([[Q, Q, QM1, Z], [Z, Z, QM1, Q]], 4)
+        assert d.j_part == sym_ideal([[Q, Q, QM1, Z], [Z, Z, QM1, Q]], 4)
         assert d.beta == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_chain5(self, chain5, p):
         d = decompose(chain5, p)
-        assert d.j_part == SymbolicIdeal(
+        assert d.j_part == sym_ideal(
             [[QM1, QM1, Q, QM1, Z], [Z, Z, QM1, Q, QM1]], 5
         )
         assert d.beta == (1, 1, 1, 1, 1)
@@ -151,12 +150,12 @@ class TestDecompose:
         # support (slope vector) first, then rank; plain rank order would
         # put the second generator last
         ideal = MonomialIdeal([(0, 0, 1, 1, 0), (1, 0, 1, 0, 1), (1, 1, 0, 0, 0)])
-        assert decompose(ideal, 2).j_part.terms() == (
-            (QM1, Z, Q, QM1, Q),
-            (Q, QM1, QM1, Z, Q),
-            (QM1, QM1, QM1, Q, Z),
-            (QM1, Q, QM1, QM1, Z),
-        )
+        assert decompose(ideal, 2).j_part.rank_rows() == [
+            [QM1, Z, Q, QM1, Q],
+            [Q, QM1, QM1, Z, Q],
+            [QM1, QM1, QM1, Q, Z],
+            [QM1, Q, QM1, QM1, Z],
+        ]
 
     def test_residual_row_without_both_ranks_is_rejected(self):
         # x1^q is outside (x1*x2)^[q] and not above beta, but has no q-1
@@ -264,20 +263,18 @@ def test_decomposition_completeness(p, e):
 
 
 def test_symbolic_exponents_stay_in_triple_set():
-    allowed = {(0, 0), (1, -1), (1, 0)}
     for ideal in _fixtures():
-        for term in colon_symbolic(ideal, 2).terms():
-            assert {tuple(exp) for exp in term} <= allowed
+        for row in colon_symbolic(ideal, 2).rank_rows():
+            assert set(row) <= {Z, QM1, Q}
 
 
 def test_j_generators_carry_q_and_qm1_and_a_zero():
     # the simultaneous q/q-1 pattern always; a 0 exponent on the fixtures
     for ideal in _fixtures():
         d = decompose(ideal, 3)
-        for term in d.j_part.terms():
-            entries = {tuple(exp) for exp in term}
-            assert (1, 0) in entries and (1, -1) in entries
-            assert (0, 0) in entries
+        for row in d.j_part.rank_rows():
+            assert Q in row and QM1 in row
+            assert Z in row
 
 
 def test_classification_independent_of_p(squarefree_classes):
@@ -334,7 +331,7 @@ def test_rank_encoding_random(case, p):
         assert sym.instantiate(p**e) == concrete
     local = decompose(substitute(ideal, inverted), p)
     for part in (local.frobenius_part, local.j_part):
-        assert set(np.unique(part.enc).tolist()) <= {0, 1, 2}
+        assert set(np.unique(part.ranks.gens).tolist()) <= {0, 1, 2}
 
 
 def test_j_part_disjoint_from_other_groups():
@@ -342,14 +339,14 @@ def test_j_part_disjoint_from_other_groups():
         d = decompose(ideal, 2)
         frob = d.frobenius_part.instantiate(4)
         socle = MonomialIdeal([[3 * b for b in d.beta]], ideal.n)
-        for term in d.j_part.terms():
-            mono = tuple(_brute.at(exp, 4) for exp in term)
+        for row in d.j_part.rank_rows():
+            mono = tuple(_brute.at(r, 4) for r in row)
             assert mono not in frob + socle
 
 
 def test_pickle_round_trip(chain3):
-    sym = SymbolicIdeal([[Z, QM1, Q], [Q, Z, Z]], 3)
-    assert pickle.loads(pickle.dumps(sym)) == sym
+    ideal = sym_ideal([[Z, QM1, Q], [Q, Z, Z]], 3)
+    assert pickle.loads(pickle.dumps(ideal)) == ideal
     d = decompose(chain3, 3)
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and hash(copy) == hash(d)
