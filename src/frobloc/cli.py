@@ -132,10 +132,6 @@ def _sym_json(ideal) -> list:
     return [[_RANK_JSON[r] for r in row] for row in ideal.rank_rows()]
 
 
-def _gens_json(ideal: MonomialIdeal) -> list:
-    return [list(g) for g in ideal.generators()]
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -155,7 +151,7 @@ def _cmd_colon(args) -> int:
         "n": ideal.n,
         "p": args.p,
         "e": args.e,
-        "generators": _gens_json(result),
+        "generators": result.generators(),
     }
     text = (
         f"I = {ideal.render()}   [n={ideal.n}]\n"
@@ -192,7 +188,7 @@ def _cmd_decompose(args) -> int:
     payload = {
         "n": ideal.n,
         "p": args.p,
-        "generators": _gens_json(ideal),
+        "generators": ideal.generators(),
         "frobenius_part": _sym_json(d.frobenius_part),
         "j_part": _sym_json(d.j_part),
         "beta": list(d.beta),
@@ -208,7 +204,7 @@ def _cmd_classify(args) -> int:
     payload = {
         "n": ideal.n,
         "p": args.p,
-        "generators": _gens_json(ideal),
+        "generators": ideal.generators(),
         "class": d.generation_class.value,
     }
     text = d.generation_class.label
@@ -227,7 +223,7 @@ def _cmd_uprime(args) -> int:
     payload = {
         "n": ideal.n,
         "p": args.p,
-        "generators": _gens_json(annihilator),
+        "generators": annihilator.generators(),
     }
     strata = u_prime_strata(ideal, annihilator)
     text = (
@@ -270,7 +266,7 @@ def _cmd_locus(args) -> int:
     payload = {
         "n": ideal.n,
         "p": args.p,
-        "generators": _gens_json(ideal),
+        "generators": ideal.generators(),
         "strata": [
             {
                 "in_prime": sorted(v.stratum.in_prime),
@@ -345,7 +341,7 @@ def _cmd_oracle(args) -> int:
     payload = {
         "n": ideal.n,
         "p": args.p,
-        "generators": _gens_json(ideal),
+        "generators": ideal.generators(),
         "max_e": args.max_e,
         "needs_new": list(profile.needs_new),
         "consistent_with_finite": profile.finitely_generated_consistent,
@@ -368,10 +364,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import census, stratum_classes
+    from .enumeration import census, class_openness, stratum_table
 
     found = census(args.vars)
     reps = found.classes
+    table = stratum_table(found)
     # each class is its own top stratum (W empty), and every stratum of a
     # class localizes to some class: one decomposition per class decides all
     generations = [decompose(ideal, args.p).generation_class for ideal, _ in reps]
@@ -386,7 +383,7 @@ def _cmd_enumerate(args) -> int:
     # order: no stratum of a class localizes to a later class
     consistent = np.zeros(len(reps), dtype=bool)
     for index, (ideal, orbit) in enumerate(reps):
-        _, local, openness = stratum_classes(found, index, generations.__getitem__)
+        openness = class_openness(table[index], infinite)
         generation = generations[index]
         counts[generation.value] += 1
         openness_counts[openness.value] += 1
@@ -396,11 +393,14 @@ def _cmd_enumerate(args) -> int:
             consistent[index] = profile.finitely_generated_consistent
             # a principal verdict disagrees with an inconsistent profile, an
             # infinite one with a consistent profile
+            local = table[index][table[index] >= 0]
             checked += len(local)
             disagreements += int(np.count_nonzero(consistent[local] == infinite[local]))
         rows.append(
             {
-                "generators": _gens_json(ideal),
+                # a tuple encodes as a JSON array and is smaller than a list:
+                # the n = 6 census holds 16351 rows until its output is built
+                "generators": ideal.generators(),
                 "orbit": orbit,
                 "class": generation.value,
                 "openness": openness.value,
@@ -543,10 +543,12 @@ def main(argv: "list[str] | None" = None) -> int:
             raise ValueError(f"--e must be >= 1, got {args.e}")
         if getattr(args, "max_e", None) is not None and args.max_e < 1:
             raise ValueError(f"--max-e must be >= 1, got {args.max_e}")
+        # the oracle's verdict reads degrees 2.. only: depth 1 calls every
+        # ideal finite
         if getattr(args, "check", False) and args.max_e < 2:
-            # the oracle's verdict reads degrees 2.. only: depth 1 calls
-            # every ideal finite
             raise ValueError(f"--check needs --max-e >= 2, got {args.max_e}")
+        if args.command == "oracle" and args.max_e < 2:
+            raise ValueError(f"oracle needs --max-e >= 2, got {args.max_e}")
         if getattr(args, "vars", None) is not None and args.vars < 1:
             raise ValueError(f"--vars must be >= 1, got {args.vars}")
         code = args.handler(args)

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from frobloc.enumeration import census
+from frobloc.enumeration import census, stratum_table
 from frobloc.monomials import MonomialIdeal
 
 
@@ -10,6 +10,13 @@ from frobloc.monomials import MonomialIdeal
 def censuses():
     """census(n), enumerated once per test session."""
     return functools.cache(census)
+
+
+@pytest.fixture(scope="session")
+def stratum_tables(censuses):
+    """stratum_table(census(n)), built once per test session: it does not
+    depend on p."""
+    return functools.cache(lambda n: stratum_table(censuses(n)))
 
 
 @pytest.fixture(scope="session")

@@ -348,6 +348,16 @@ class TestExitCodes:
         assert out == ""
         assert "--check needs --max-e >= 2" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_oracle_at_depth_one_rejected_before_any_output(self, capsys, extra):
+        # at depth 1 the oracle called Katzman's infinitely generated ideal
+        # consistent with a finitely generated algebra
+        argv = ["oracle", "x1*x2, x2*x3", "--p", "2", "--max-e", "1", *extra]
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: oracle needs --max-e >= 2, got 1\n"
+
     def test_oracle_disagreement(self, capsys, monkeypatch):
         def always_infinite(ideal, p, max_e):
             return GenerationProfile(ideal, p, max_e, (), (), (True,) * max_e)
@@ -542,6 +552,35 @@ class TestProcessExits:
         out, err = child.communicate(timeout=120)
         assert child.returncode == EXIT_RESOURCE
         assert out == b"" and err == b"error: out of memory\n"
+
+
+# one call of every subcommand, run in turn by a single fresh interpreter
+_EVERY_COMMAND = [
+    ["colon", "x1*x2, x2*x3", "--p", "2", "--e", "2"],
+    ["decompose", "x1*x2, x2*x3", "--p", "2", "--json"],
+    ["classify", "x1*x2, x2*x3", "--p", "3"],
+    ["uprime", "x1*x2, x2*x3", "--p", "2"],
+    ["locus", "x1*x2, x2*x3, x3*x4", "--p", "2", "--check"],
+    ["oracle", "x1*x2, x2*x3", "--p", "2", "--max-e", "2"],
+    ["enumerate", "--vars", "4", "--p", "2", "--check"],
+]
+
+
+def test_no_command_imports_numpy_ma():
+    # numpy.unique without an index output imports numpy.ma (and inspect),
+    # 1.3 MiB and ~17 ms of every cold CLI call
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from frobloc.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    command = [sys.executable, "-c", script, json.dumps(_EVERY_COMMAND)]
+    child = subprocess.run(command, env=env, capture_output=True, timeout=120)
+    assert child.returncode == 0, child.stderr.decode()
 
 
 class TestRepeatedMain:

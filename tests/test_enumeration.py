@@ -1,16 +1,17 @@
-import functools
 import random
 
 import numpy as np
 import pytest
 
 import _brute
+from frobloc import enumeration
 from frobloc.enumeration import (
     _canonical,
     _localized,
     canonical_squarefree_ideals,
+    class_openness,
     ideal_from_masks,
-    stratum_classes,
+    stratum_table,
 )
 from frobloc.locus import build_locus, enumerate_strata, u_prime_strata
 from frobloc.monomials import (
@@ -130,22 +131,32 @@ def _truth_table(ideal):
     return sum(1 << m for m in range(1 << ideal.n) if any(g & m == g for g in masks))
 
 
-def _assert_matches_build_locus(c, indexes, p):
-    generation = functools.cache(
-        lambda k: decompose(c.classes[k][0], p).generation_class
-    )
+def _generations(c, rows, p):
+    """The verdict of every class that a stratum of ``rows`` localizes to,
+    and the census-wide infinite flags with those classes filled in."""
+    needed = np.unique(rows[rows >= 0]).tolist()
+    generation = {k: decompose(c.classes[k][0], p).generation_class for k in needed}
+    infinite = np.zeros(len(c.classes), dtype=bool)
+    infinite[needed] = [generation[k] is GenerationClass.INFINITE for k in needed]
+    return generation, infinite
+
+
+def _assert_matches_build_locus(c, table, indexes, p):
+    rows = table[list(indexes)]
+    generation, infinite = _generations(c, rows, p)
     checked = 0
-    for index in indexes:
+    for index, row in zip(indexes, rows):
         ideal = c.classes[index][0]
-        strata, local, openness = stratum_classes(c, index, generation)
+        strata = np.flatnonzero(row >= 0)
+        local = row[strata]
         strata = strata.tolist()
         report = build_locus(ideal, p)
         assert strata == [s.mask for s in enumerate_strata(ideal)], ideal
         assert strata == [v.stratum.mask for v in report.verdicts], ideal
-        verdicts = [generation(k) for k in local.tolist()]
+        verdicts = [generation[k] for k in local.tolist()]
         assert verdicts == [v.generation for v in report.verdicts], ideal
-        assert openness is report.openness, ideal
-        assert generation(index) is report.decomposition.generation_class
+        assert class_openness(row, infinite) is report.openness, ideal
+        assert generation[index] is report.decomposition.generation_class
         # no stratum localizes to a later class: the order the oracle runs in
         assert local.max() <= index, ideal
         checked += len(strata)
@@ -153,18 +164,39 @@ def _assert_matches_build_locus(c, indexes, p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_census_verdicts_equal_build_locus(censuses, p):
+def test_census_verdicts_equal_build_locus(censuses, stratum_tables, p):
     for n in range(1, 6):
-        c = censuses(n)
-        checked = _assert_matches_build_locus(c, range(len(c.classes)), p)
+        c, table = censuses(n), stratum_tables(n)
+        checked = _assert_matches_build_locus(c, table, range(len(c.classes)), p)
     assert checked == 3328
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_census_verdicts_equal_build_locus_on_sampled_n6(censuses, p):
+def test_census_verdicts_equal_build_locus_on_sampled_n6(censuses, stratum_tables, p):
     c = censuses(6)
     sample = random.Random(6).sample(range(len(c.classes)), 120)
-    assert _assert_matches_build_locus(c, sample, p) > len(sample)
+    assert _assert_matches_build_locus(c, stratum_tables(6), sample, p) > len(sample)
+
+
+def test_blocked_table_equals_the_per_class_lookup(censuses, stratum_tables):
+    # the census-wide table, localized and canonicalized in blocks of
+    # classes over distinct tables, against one class at a time
+    c, table = censuses(6), stratum_tables(6)
+    for index in random.Random(20).sample(range(len(c.classes)), 300):
+        local = _localized(c.tables[index], 6)
+        strata = np.flatnonzero(local & np.uint64(1) == 0)
+        least, _ = _canonical(local[strata], 6)
+        at = np.searchsorted(c.keys, least)
+        assert (c.keys[at] == least).all()
+        assert np.flatnonzero(table[index] >= 0).tolist() == strata.tolist()
+        assert table[index, strata].tolist() == c.key_class[at].tolist()
+
+
+def test_table_does_not_depend_on_the_block(censuses, stratum_tables, monkeypatch):
+    # blocks of one class up to the whole census give the same table
+    for block in (1 << 5, 1 << 9):
+        monkeypatch.setattr(enumeration, "_BLOCK", block)
+        assert (stratum_table(censuses(5)) == stratum_tables(5)).all()
 
 
 def test_localized_tables_equal_substitute(censuses):
@@ -182,29 +214,25 @@ def test_localized_tables_equal_substitute(censuses):
 def test_stratum_lookup_misses_raise(censuses):
     # without the class of (x1), the localization of (x1*x2) at x2 misses
     c = censuses(3)
-    index = [ideal for ideal, _ in c.classes].index(MonomialIdeal([(1, 1, 0)]))
     x1 = np.array([_truth_table(MonomialIdeal([(1, 0, 0)]))], dtype=np.uint64)
     kept = c.keys != _canonical(x1, 3)[0]
     broken = c._replace(keys=c.keys[kept], key_class=c.key_class[kept])
     with pytest.raises(RuntimeError, match="missing from the census"):
-        stratum_classes(broken, index, lambda k: GenerationClass.PRINCIPAL)
+        stratum_table(broken)
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_abstract_claims_hold_on_the_census(censuses, p):
+def test_abstract_claims_hold_on_the_census(censuses, stratum_tables, p):
     # on all 248 classes with n <= 5: U has a stratum inside V(I), and every
     # stratum of U' is principal; U' is empty on 13 classes and all of U on
     # only 83, so U \ U' is often nonempty
     classes = empty = equal = 0
     for n in range(1, 6):
-        c = censuses(n)
-        generation = functools.cache(
-            lambda k, c=c: decompose(c.classes[k][0], p).generation_class
-        )
+        c, table = censuses(n), stratum_tables(n)
+        _, infinite = _generations(c, table, p)
         for index, (ideal, _) in enumerate(c.classes):
-            strata, local, _ = stratum_classes(c, index, generation)
-            closed = [generation(k) is GenerationClass.INFINITE for k in local.tolist()]
-            u = set(strata[~np.array(closed)].tolist())
+            strata = np.flatnonzero(table[index] >= 0)
+            u = set(strata[~infinite[table[index, strata]]].tolist())
             assert u, ideal
             u_prime = u_prime_strata(ideal, compute_u_prime(decompose(ideal, p)))
             u_prime = {s.mask for s in u_prime}
