@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .monomials import (
     generator_budget,
     require_prime,
 )
-from .oracle import classify_up_to
+from .oracle import GenerationProfile, classify_up_to
 from .symbolic import (
     ColonDecomposition,
     GenerationClass,
@@ -132,11 +133,12 @@ def _sym_json(ideal) -> list:
     return [[_RANK_JSON[r] for r in row] for row in ideal.rank_rows()]
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: Callable[[], str]) -> None:
+    """Print the payload as JSON, or else the text, built only then."""
     if args.json:
         print(json.dumps(payload))
     else:
-        print(text)
+        print(text())
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def _cmd_colon(args) -> int:
         f"q = {args.p}^{args.e} = {power.q}\n"
         f"(I^[q] : I) = {result.render()}"
     )
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: text)
     return EXIT_OK
 
 
@@ -194,7 +196,7 @@ def _cmd_decompose(args) -> int:
         "beta": list(d.beta),
         "class": d.generation_class.value,
     }
-    _emit(args, payload, _decomposition_text(d))
+    _emit(args, payload, lambda: _decomposition_text(d))
     return EXIT_OK
 
 
@@ -212,7 +214,7 @@ def _cmd_classify(args) -> int:
         text += (
             f"\ngenerated by (x^beta)^(p-1) = {format_monomial(d.principal_witness)}"
         )
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: text)
     return EXIT_OK
 
 
@@ -232,7 +234,7 @@ def _cmd_uprime(args) -> int:
         f"guaranteed finitely generated on U' = {render_u_prime(annihilator)}\n"
         f"strata inside U': {', '.join(s.render() for s in strata) or '(none)'}"
     )
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: text)
     return EXIT_OK
 
 
@@ -277,7 +279,7 @@ def _cmd_locus(args) -> int:
         ],
         "openness": report.openness.value,
     }
-    _emit(args, payload, _locus_text(report, args))
+    _emit(args, payload, lambda: _locus_text(report, args))
     if args.check:
         for v, needs_new in _disagreements(report.verdicts, args.p, args.max_e, {}):
             print(
@@ -289,21 +291,45 @@ def _cmd_locus(args) -> int:
     return EXIT_OK
 
 
+def _ranks(signatures: list) -> list[int]:
+    """Each signature's rank among the distinct signatures, in sorted order."""
+    rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+    return [rank[sig] for sig in signatures]
+
+
 def _oracle_key(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The ideal on its support, the variables stable-sorted by the number
-    of generators through each and the sorted degrees of those generators.
+    """The ideal on its support, the variables sorted by a colour refinement.
+
+    Each variable starts with the colour of its signature: the number of
+    generators through it and their sorted degrees.  Each round colours a
+    generator by the sorted (colour, exponent) pairs of its variables, and
+    splits every variable's colour by the sorted (exponent, colour) pairs of
+    the generators through it; the rounds stop when no colour splits.  A
+    colour is the rank of a signature among the sorted distinct ones, so it
+    does not depend on the input order, which only breaks the ties left.
 
     This is a relabelling of the ideal with its unused variables dropped, so
     it has the same oracle answer; ideals that differ only by such a
     relabelling mostly share it."""
-    gens = ideal.gens
-    degrees = gens.sum(axis=1)
-
-    def signature(var):
-        through = gens[:, var] > 0
-        return int(through.sum()), sorted(degrees[through].tolist())
-
-    used = sorted(np.flatnonzero(gens.any(axis=0)).tolist(), key=signature)
+    gens = ideal.gens[:, ideal.gens.any(axis=0)]
+    rows = gens.tolist()
+    degrees = [sum(row) for row in rows]
+    through = [[g for g, row in enumerate(rows) if row[v]] for v in range(gens.shape[1])]
+    colour = _ranks([(len(t), tuple(sorted(degrees[g] for g in t))) for t in through])
+    while True:
+        gen_colour = [
+            tuple(sorted((colour[v], c) for v, c in enumerate(row) if c)) for row in rows
+        ]
+        refined = _ranks(
+            [
+                (colour[v], tuple(sorted((rows[g][v], gen_colour[g]) for g in t)))
+                for v, t in enumerate(through)
+            ]
+        )
+        if len(set(refined)) == len(set(colour)):
+            break
+        colour = refined
+    used = sorted(range(gens.shape[1]), key=colour.__getitem__)
     return MonomialIdeal.from_matrix(gens[:, used], len(used))
 
 
@@ -346,21 +372,27 @@ def _cmd_oracle(args) -> int:
         "needs_new": list(profile.needs_new),
         "consistent_with_finite": profile.finitely_generated_consistent,
     }
+    _emit(args, payload, lambda: _oracle_text(profile))
+    return EXIT_OK
+
+
+def _oracle_text(profile: GenerationProfile) -> str:
+    """The per-degree table; its |L_e| column is the only reader of L_e."""
+    ideal, p = profile.ideal, profile.p
     lines = [
-        f"I = {ideal.render()}   [n={ideal.n}]  p={args.p}  max_e={args.max_e}",
+        f"I = {ideal.render()}   [n={ideal.n}]  p={p}  max_e={profile.max_e}",
         " e      q  |F_e|  |L_e|  needs new generators",
     ]
-    for e in range(1, args.max_e + 1):
+    for e in range(1, profile.max_e + 1):
         f_e = profile.f_ideals[e - 1]
         l_e = profile.l_ideals[e - 1]
         flag = "yes" if profile.needs_new[e - 1] else "no"
         lines.append(
-            f"{e:>2} {args.p**e:>6}  {f_e.num_generators():>5}  "
+            f"{e:>2} {p**e:>6}  {f_e.num_generators():>5}  "
             f"{l_e.num_generators():>5}  {flag}"
         )
     lines.append(profile.summary())
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def _cmd_enumerate(args) -> int:

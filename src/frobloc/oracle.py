@@ -16,13 +16,24 @@ I^[p^e].  Everything here is computed at concrete q with plain ideal
 arithmetic; no symbolic machinery is shared with the classifier, which is
 what makes this an independent cross-check.
 
-Past the products, L_e and the reachable part L_e + I^[q] cost only sums of
-canonical antichains: two divisibility cross tests and a merge each.
+The flags need no product.  Since L_e and I^[q] (q = p^e) lie in F_e, F_e
+differs from L_e + I^[q] iff some generator of F_e lies outside L_e + I^[q],
+and a monomial lies in a sum of monomial ideals iff it lies in a summand.  So
+``classify_up_to`` keeps the generators r of F_e outside I^[q] and, for each
+k, drops those in F_k * F_{e-k}^[p^k]: r is there iff r - a is divisible by
+a generator of F_{e-k}^[p^k] for some generator a of F_k with a <= r.  The
+flag is true iff a row survives every k.  That costs one divisibility test
+per nonnegative residual r - a and no minimalization; the (row, a) pair
+count is held to the generator budget.  L_e itself is built, from the
+products, only when ``GenerationProfile.l_ideals`` is read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .monomials import MonomialIdeal, PrimePower, _check_budget
 
@@ -47,14 +58,56 @@ def compute_l(
     return total
 
 
+def _outside_lower_degrees(
+    f_ideals: dict[int, MonomialIdeal], ideal: MonomialIdeal, p: int, e: int
+) -> bool:
+    """Whether some generator of F_e lies outside L_e + I^[p^e], decided by
+    membership in each product F_k * F_{e-k}^[p^k] without forming it."""
+    f_e = f_ideals[e]
+    power = ideal.frobenius_power(PrimePower(p, e))
+    rows = f_e.gens[~power.contains_each(f_e.gens)]
+    for k in range(1, e):
+        if rows.shape[0] == 0:
+            break
+        lower = f_ideals[k].gens
+        _check_budget(rows.shape[0] * lower.shape[0])
+        residuals = rows[:, None, :] - lower[None, :, :]
+        owner, which = np.nonzero((residuals >= 0).all(axis=2))
+        shifted = f_ideals[e - k].frobenius_power(PrimePower(p, k))
+        hit = shifted.contains_each(residuals[owner, which])
+        covered = np.zeros(rows.shape[0], dtype=bool)
+        covered[owner[hit]] = True
+        rows = rows[~covered]
+    return rows.shape[0] > 0
+
+
 @dataclass(frozen=True)
 class GenerationProfile:
+    """F_1 .. F_max_e of an ideal and the degrees that need new generators.
+
+    ``needs_new[e - 1]`` is true iff some generator of F_e lies outside
+    L_e + I^[p^e]; the module docstring shows that this is F_e != L_e +
+    I^[p^e], decided by membership in each product F_k * F_{e-k}^[p^k].
+    ``l_ideals`` forms those products and sums them on first read; under a
+    generator budget that the products exceed, that read raises
+    ResourceLimit while the flags stand.
+    """
+
     ideal: MonomialIdeal
     p: int
     max_e: int
     f_ideals: tuple[MonomialIdeal, ...]  # F_1 .. F_max_e
-    l_ideals: tuple[MonomialIdeal, ...]  # L_1 .. L_max_e
     needs_new: tuple[bool, ...]  # degree e needs fresh algebra generators
+
+    @functools.cached_property
+    def l_ideals(self) -> tuple[MonomialIdeal, ...]:
+        """L_1 .. L_max_e."""
+        fs = dict(enumerate(self.f_ideals, start=1))
+        ls = []
+        for e in range(1, self.max_e + 1):
+            ls.append(compute_l(fs, self.p, e))
+            _check_budget(ls[-1].num_generators())
+        return tuple(ls)
 
     @property
     def finitely_generated_consistent(self) -> bool:
@@ -72,7 +125,7 @@ class GenerationProfile:
 
 
 def classify_up_to(ideal: MonomialIdeal, p: int, max_e: int) -> GenerationProfile:
-    """Compute F_e, L_e and the needs-new flags for e = 1 .. max_e.
+    """Compute F_e and the needs-new flags for e = 1 .. max_e.
 
     A profile with needs_new false beyond degree 1 is evidence for (never a
     proof of) finite generation; any true flag at degree >= 2 reproduces the
@@ -83,20 +136,15 @@ def classify_up_to(ideal: MonomialIdeal, p: int, max_e: int) -> GenerationProfil
     if max_e < 1:
         raise ValueError(f"max_e={max_e} must be >= 1")
     fs: dict[int, MonomialIdeal] = {}
-    ls: dict[int, MonomialIdeal] = {}
     flags = []
     for e in range(1, max_e + 1):
         fs[e] = compute_f(ideal, p, e)
         _check_budget(fs[e].num_generators())
-        ls[e] = compute_l(fs, p, e)
-        _check_budget(ls[e].num_generators())
-        reachable = ls[e] + ideal.frobenius_power(PrimePower(p, e))
-        flags.append(fs[e] != reachable)
+        flags.append(_outside_lower_degrees(fs, ideal, p, e))
     return GenerationProfile(
         ideal=ideal,
         p=p,
         max_e=max_e,
         f_ideals=tuple(fs[e] for e in range(1, max_e + 1)),
-        l_ideals=tuple(ls[e] for e in range(1, max_e + 1)),
         needs_new=tuple(flags),
     )

@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import _brute
 from frobloc import cli
+from frobloc import oracle as oracle_module
 from frobloc.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
@@ -213,13 +215,53 @@ class TestCommands:
         report = build_locus(parse_ideal(path8), 2)
         local = {v.substituted for v in report.verdicts}
         assert len(report.verdicts) == 55 and len(local) == 32
-        assert len(bases) == len(set(bases)) == 11
+        assert len(bases) == len(set(bases)) == 10
         assert all(_support(base) == base.n for base in bases)
         for ideal in local:
             key = cli._oracle_key(ideal)
             assert key in bases
             if _support(ideal) <= 6:
                 assert _brute_class(key) == _brute_class(ideal)
+
+    def test_relabelled_cycle_shares_more_oracle_runs(self, capsys, monkeypatch):
+        # a seeded relabelling of the 10-cycle: ranking variables by their
+        # own signature alone left 18 oracle keys, the refined colours 13
+        bases = []
+        oracle = cli.classify_up_to
+
+        def counting(ideal, p, max_e):
+            bases.append(ideal)
+            return oracle(ideal, p, max_e)
+
+        monkeypatch.setattr(cli, "classify_up_to", counting)
+        rng = random.Random(10)
+        perm = rng.sample(range(1, 11), 10)
+        cycle = ", ".join(f"x{perm[i]}*x{perm[(i + 1) % 10]}" for i in range(10))
+        assert main(["locus", cycle, "--p", "2", "--check", "--json"]) == EXIT_OK
+        assert len(bases) == len(set(bases)) == 13
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "x1*x2, x2*x3, x3*x4", "--p", "2", "--json"],
+            ["locus", "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6", "--p", "2", "--check"],
+            ["enumerate", "--vars", "4", "--p", "2", "--check"],
+        ],
+    )
+    def test_only_the_oracle_text_builds_l(self, capsys, monkeypatch, argv):
+        calls = []
+        compute_l = oracle_module.compute_l
+
+        def counting(fs, p, e):
+            calls.append(e)
+            return compute_l(fs, p, e)
+
+        monkeypatch.setattr(oracle_module, "compute_l", counting)
+        assert main(argv) == EXIT_OK
+        assert calls == []
+        # the text table's |L_e| column is what reads it
+        assert main(["oracle", "x1*x2, x2*x3, x3*x4", "--p", "2"]) == EXIT_OK
+        assert calls == [1, 2, 3]
 
     def test_check_memo_keeps_no_oracle_profile(self):
         # only the verdict and the needs_new flags outlive each oracle run,
@@ -360,7 +402,7 @@ class TestExitCodes:
 
     def test_oracle_disagreement(self, capsys, monkeypatch):
         def always_infinite(ideal, p, max_e):
-            return GenerationProfile(ideal, p, max_e, (), (), (True,) * max_e)
+            return GenerationProfile(ideal, p, max_e, (), (True,) * max_e)
 
         monkeypatch.setattr(cli, "classify_up_to", always_infinite)
         # the report is printed, then the first disagreement ends the run
@@ -398,6 +440,17 @@ class TestExitCodes:
         monkeypatch.setenv("FROBLOC_MAX_GENS", "2")
         code = main(["oracle", "x1*x2, x2*x3, x3*x4", "--p", "3", "--max-e", "3"])
         assert code == EXIT_RESOURCE
+
+    def test_budget_only_l_exceeds_stops_only_the_text(self, capsys, monkeypatch):
+        # the flags fit in 20 generators on this path at p = 3; the products
+        # behind the text table's |L_e| column need 36
+        monkeypatch.setenv("FROBLOC_MAX_GENS", "20")
+        argv = ["oracle", "x1*x2, x2*x3, x3*x4", "--p", "3", "--max-e", "3"]
+        assert main([*argv, "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["needs_new"] == [True] * 3
+        assert main(argv) == EXIT_RESOURCE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: intermediate generator count")
 
     @pytest.mark.parametrize("command", ["decompose", "locus"])
     def test_symbolic_colon_counts_against_the_budget(

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
@@ -158,6 +160,49 @@ def test_oracle_matches_replaced_paths_on_every_class(p, max_e, squarefree_class
             assert profile.f_ideals == fs, ideal
             assert profile.l_ideals == ls, ideal
             assert profile.needs_new == flags, ideal
+
+
+@st.composite
+def oracle_cases(draw):
+    """(square-free ideal on n <= 8 variables, p, max_e <= 4).  Half the
+    ideals are dense clutters: all k-subsets of up to six of the variables."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        chosen = draw(st.permutations(range(n)))[: draw(st.integers(1, min(n, 6)))]
+        k = draw(st.integers(1, len(chosen)))
+        masks = [sum(1 << i for i in c) for c in itertools.combinations(chosen, k)]
+    else:
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
+    return ideal, draw(st.sampled_from([2, 3])), draw(st.integers(1, 4))
+
+
+_TRIANGLES_OF_6 = MonomialIdeal(
+    [[int(i in c) for i in range(6)] for c in itertools.combinations(range(6), 3)], 6
+)
+
+
+@given(oracle_cases())
+@example((_TRIANGLES_OF_6, 2, 4))
+@settings(max_examples=150, deadline=None)
+def test_flags_match_replaced_paths_random(case):
+    # the flags come from membership tests, the reference forms L_e
+    ideal, p, max_e = case
+    assert classify_up_to(ideal, p, max_e).needs_new == _brute.oracle_profile(
+        ideal, p, max_e
+    )[2]
+
+
+def test_flags_stand_under_a_budget_that_only_l_exceeds(monkeypatch):
+    # on the 4-variable path the colons and the membership tests check at
+    # most 18 generators at p = 3, the products F_k * F_{e-k}^[3^k] 36
+    path4 = MonomialIdeal([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
+    expected = classify_up_to(path4, 3, 3).needs_new
+    monkeypatch.setenv("FROBLOC_MAX_GENS", "20")
+    profile = classify_up_to(path4, 3, 3)
+    assert profile.needs_new == expected == (True, True, True)
+    with pytest.raises(ResourceLimit):
+        profile.l_ideals
 
 
 # ---------------------------------------------------------------------------
