@@ -32,7 +32,7 @@ from .locus import (
     is_open,
     render_expression,
 )
-from .oracle import GenerationProfile, classify_up_to, compute_f, compute_l
+from .oracle import GenerationProfile, classify_up_to, compute_f
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "colon_symbolic",
     "compute_beta",
     "compute_f",
-    "compute_l",
     "compute_u_prime",
     "decompose",
     "enumerate_strata",

@@ -227,14 +227,18 @@ def _cmd_uprime(args) -> int:
         "p": args.p,
         "generators": annihilator.generators(),
     }
-    strata = u_prime_strata(ideal, annihilator)
-    text = (
-        f"I = {ideal.render()}   [n={ideal.n}]  p={args.p}\n"
-        f"annihilator of (I^[p] + J_p)/I^[p]: {annihilator.render()}\n"
-        f"guaranteed finitely generated on U' = {render_u_prime(annihilator)}\n"
-        f"strata inside U': {', '.join(s.render() for s in strata) or '(none)'}"
-    )
-    _emit(args, payload, lambda: text)
+
+    def text() -> str:
+        # the strata, bounded by MAX_STRATA, are listed for the text only
+        strata = u_prime_strata(ideal, annihilator)
+        return (
+            f"I = {ideal.render()}   [n={ideal.n}]  p={args.p}\n"
+            f"annihilator of (I^[p] + J_p)/I^[p]: {annihilator.render()}\n"
+            f"guaranteed finitely generated on U' = {render_u_prime(annihilator)}\n"
+            f"strata inside U': {', '.join(s.render() for s in strata) or '(none)'}"
+        )
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -344,7 +348,7 @@ def _disagreements(
 
     The oracle runs on the ``_oracle_key`` of each substituted ideal, and
     ``memo`` maps that key to the oracle's (finitely_generated_consistent,
-    needs_new), never to a whole profile with its F_e and L_e ideals.  The
+    needs_new), never to a whole profile with its F_e ideals.  The
     oracle's answer does not change under relabelling the variables or
     dropping unused ones, and strata share their substituted ideals up to
     both.  Only the principal/infinite verdict is compared: every infinite
@@ -377,20 +381,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _oracle_text(profile: GenerationProfile) -> str:
-    """The per-degree table; its |L_e| column is the only reader of L_e."""
+    """The per-degree table of the profile."""
     ideal, p = profile.ideal, profile.p
     lines = [
         f"I = {ideal.render()}   [n={ideal.n}]  p={p}  max_e={profile.max_e}",
-        " e      q  |F_e|  |L_e|  needs new generators",
+        " e      q  |F_e|  needs new generators",
     ]
     for e in range(1, profile.max_e + 1):
         f_e = profile.f_ideals[e - 1]
-        l_e = profile.l_ideals[e - 1]
         flag = "yes" if profile.needs_new[e - 1] else "no"
-        lines.append(
-            f"{e:>2} {p**e:>6}  {f_e.num_generators():>5}  "
-            f"{l_e.num_generators():>5}  {flag}"
-        )
+        lines.append(f"{e:>2} {p**e:>6}  {f_e.num_generators():>5}  {flag}")
     lines.append(profile.summary())
     return "\n".join(lines)
 

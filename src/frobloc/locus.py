@@ -52,6 +52,7 @@ generic point of V(I) and has nonempty interior.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from typing import Container, Iterable, Sequence
@@ -301,16 +302,37 @@ def _render_stratum(stratum: Stratum) -> str:
 
 @dataclass(frozen=True)
 class LocusReport:
+    """The stratum verdicts of an ideal and the openness of U.  The D/V
+    displays of U and U^c are rendered from the verdicts when first read."""
+
     ideal: MonomialIdeal
     p: int
     ambient: str  # "vi" (inside V(I)) or "full"
     verdicts: tuple[StratumVerdict, ...]
     inadmissible: tuple[Stratum, ...]
     openness: Openness
-    expression_u: str
-    expression_complement: str
     notes: tuple[str, ...]
-    decomposition: ColonDecomposition  # of the ideal; J substituted per stratum
+
+    def _display(self, principal: bool) -> str:
+        """The D/V display of the strata whose verdict is (not) principal;
+        the strata missing V(I) count as not principal."""
+        chosen = [
+            v.stratum
+            for v in self.verdicts
+            if (v.generation is GenerationClass.PRINCIPAL) is principal
+        ]
+        if not principal:
+            chosen += self.inadmissible
+        universe = [v.stratum for v in self.verdicts] + list(self.inadmissible)
+        return render_expression(chosen, universe)
+
+    @functools.cached_property
+    def expression_u(self) -> str:
+        return self._display(True)
+
+    @functools.cached_property
+    def expression_complement(self) -> str:
+        return self._display(False)
 
 
 # Published locus displays known to disagree with the derived stratum table.
@@ -347,12 +369,11 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
         inadmissible = tuple(s for s in universe if s not in admitted)
     verdicts = tuple(classify_stratum(global_d, s) for s in admissible)
 
-    u = tuple(v.stratum for v in verdicts if v.generation is GenerationClass.PRINCIPAL)
-    masks = {s.mask for s in u}
+    masks = {
+        v.stratum.mask for v in verdicts if v.generation is GenerationClass.PRINCIPAL
+    }
     outside = (s.mask for s in universe if s.mask not in masks)
     openness = is_open(masks, outside, ideal.n)
-    expression_u = render_expression(u, universe)
-    expression_complement = render_expression(set(universe) - set(u), universe)
 
     notes = []
     key = (ideal.n, ideal.generators())
@@ -366,10 +387,7 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
         verdicts=verdicts,
         inadmissible=inadmissible,
         openness=openness,
-        expression_u=expression_u,
-        expression_complement=expression_complement,
         notes=tuple(notes),
-        decomposition=global_d,
     )
 
 

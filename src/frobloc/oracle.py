@@ -24,13 +24,11 @@ k, drops those in F_k * F_{e-k}^[p^k]: r is there iff r - a is divisible by
 a generator of F_{e-k}^[p^k] for some generator a of F_k with a <= r.  The
 flag is true iff a row survives every k.  That costs one divisibility test
 per nonnegative residual r - a and no minimalization; the (row, a) pair
-count is held to the generator budget.  L_e itself is built, from the
-products, only when ``GenerationProfile.l_ideals`` is read.
+count is held to the generator budget.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +39,6 @@ from .monomials import MonomialIdeal, PrimePower, _check_budget
 def compute_f(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     """F_e = (I^[p^e] : I)."""
     return ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
-
-
-def compute_l(
-    f_ideals: dict[int, MonomialIdeal], p: int, e: int
-) -> MonomialIdeal:
-    """L_e from the already-computed F_1 .. F_{e-1}; L_1 is the zero ideal."""
-    sample = f_ideals.get(1)
-    if sample is None:
-        raise ValueError("compute_l needs F_1")
-    total = MonomialIdeal.zero(sample.n)
-    for k in range(1, e):
-        term = f_ideals[k] * f_ideals[e - k].frobenius_power(PrimePower(p, k))
-        _check_budget(term.num_generators())
-        total = total + term
-    return total
 
 
 def _outside_lower_degrees(
@@ -88,9 +71,6 @@ class GenerationProfile:
     ``needs_new[e - 1]`` is true iff some generator of F_e lies outside
     L_e + I^[p^e]; the module docstring shows that this is F_e != L_e +
     I^[p^e], decided by membership in each product F_k * F_{e-k}^[p^k].
-    ``l_ideals`` forms those products and sums them on first read; under a
-    generator budget that the products exceed, that read raises
-    ResourceLimit while the flags stand.
     """
 
     ideal: MonomialIdeal
@@ -98,16 +78,6 @@ class GenerationProfile:
     max_e: int
     f_ideals: tuple[MonomialIdeal, ...]  # F_1 .. F_max_e
     needs_new: tuple[bool, ...]  # degree e needs fresh algebra generators
-
-    @functools.cached_property
-    def l_ideals(self) -> tuple[MonomialIdeal, ...]:
-        """L_1 .. L_max_e."""
-        fs = dict(enumerate(self.f_ideals, start=1))
-        ls = []
-        for e in range(1, self.max_e + 1):
-            ls.append(compute_l(fs, self.p, e))
-            _check_budget(ls[-1].num_generators())
-        return tuple(ls)
 
     @property
     def finitely_generated_consistent(self) -> bool:

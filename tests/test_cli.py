@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import _brute
 from frobloc import cli
-from frobloc import oracle as oracle_module
+from frobloc import locus as locus_module
 from frobloc.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_DISAGREEMENT,
@@ -31,7 +31,7 @@ from frobloc.errors import AmbientMismatch, InadmissibleStratum
 from frobloc.locus import build_locus
 from frobloc.monomials import MonomialIdeal
 from frobloc.oracle import GenerationProfile, classify_up_to
-from frobloc.symbolic import GenerationClass
+from frobloc.symbolic import GenerationClass, compute_u_prime, decompose
 
 
 def _support(ideal):
@@ -240,28 +240,31 @@ class TestCommands:
         assert main(["locus", cycle, "--p", "2", "--check", "--json"]) == EXIT_OK
         assert len(bases) == len(set(bases)) == 13
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["oracle", "x1*x2, x2*x3, x3*x4", "--p", "2", "--json"],
-            ["locus", "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6", "--p", "2", "--check"],
-            ["enumerate", "--vars", "4", "--p", "2", "--check"],
-        ],
-    )
-    def test_only_the_oracle_text_builds_l(self, capsys, monkeypatch, argv):
+    def test_only_the_locus_text_renders_u(self, capsys, monkeypatch):
         calls = []
-        compute_l = oracle_module.compute_l
+        render = locus_module.render_expression
 
-        def counting(fs, p, e):
-            calls.append(e)
-            return compute_l(fs, p, e)
+        def counting(members, universe):
+            calls.append(len(universe))
+            return render(members, universe)
 
-        monkeypatch.setattr(oracle_module, "compute_l", counting)
-        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(locus_module, "render_expression", counting)
+        argv = ["locus", "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6", "--p", "2"]
+        assert main([*argv, "--json"]) == EXIT_OK
+        assert main([*argv, "--check", "--json"]) == EXIT_OK
         assert calls == []
-        # the text table's |L_e| column is what reads it
-        assert main(["oracle", "x1*x2, x2*x3, x3*x4", "--p", "2"]) == EXIT_OK
-        assert calls == [1, 2, 3]
+        # the text's U and U^c lines are what read them
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("ideal,n", [("x1*x18", 18), ("x1*x40", 40)])
+    def test_uprime_json_lists_no_strata(self, capsys, ideal, n):
+        # too many strata meet V(I) for the text's list, which the JSON lacks
+        assert main(["uprime", ideal, "--p", "2", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        annihilator = compute_u_prime(decompose(parse_ideal(ideal), 2))
+        assert payload["generators"] == [list(g) for g in annihilator.generators()]
+        assert payload["generators"] == [[0] * n]  # x1*x_n is principal: A = (1)
 
     def test_check_memo_keeps_no_oracle_profile(self):
         # only the verdict and the needs_new flags outlive each oracle run,
@@ -441,16 +444,16 @@ class TestExitCodes:
         code = main(["oracle", "x1*x2, x2*x3, x3*x4", "--p", "3", "--max-e", "3"])
         assert code == EXIT_RESOURCE
 
-    def test_budget_only_l_exceeds_stops_only_the_text(self, capsys, monkeypatch):
-        # the flags fit in 20 generators on this path at p = 3; the products
-        # behind the text table's |L_e| column need 36
+    def test_budget_the_flags_fit_stops_neither_output(self, capsys, monkeypatch):
+        # the flags fit in 20 generators on this path at p = 3, and the text
+        # and the JSON print the one profile
         monkeypatch.setenv("FROBLOC_MAX_GENS", "20")
         argv = ["oracle", "x1*x2, x2*x3, x3*x4", "--p", "3", "--max-e", "3"]
         assert main([*argv, "--json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["needs_new"] == [True] * 3
-        assert main(argv) == EXIT_RESOURCE
+        assert main(argv) == EXIT_OK
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: intermediate generator count")
+        assert err == "" and out.endswith("needs new generators at degree 2, 3\n")
 
     @pytest.mark.parametrize("command", ["decompose", "locus"])
     def test_symbolic_colon_counts_against_the_budget(

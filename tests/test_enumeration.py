@@ -156,7 +156,7 @@ def _assert_matches_build_locus(c, table, indexes, p):
         verdicts = [generation[k] for k in local.tolist()]
         assert verdicts == [v.generation for v in report.verdicts], ideal
         assert class_openness(row, infinite) is report.openness, ideal
-        assert generation[index] is report.decomposition.generation_class
+        assert generation[index] is decompose(ideal, p).generation_class
         # no stratum localizes to a later class: the order the oracle runs in
         assert local.max() <= index, ideal
         checked += len(strata)

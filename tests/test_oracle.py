@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import _brute
 from frobloc.errors import ResourceLimit
 from frobloc.monomials import MonomialIdeal, PrimePower
-from frobloc.oracle import classify_up_to, compute_f, compute_l
+from frobloc.oracle import classify_up_to, compute_f
 from frobloc.symbolic import decompose
 
 
@@ -32,10 +32,14 @@ class TestComputeF:
         assert list(compute_f(ideal, 2, 2).generators()) == expected
 
 
+def _recurrence_l(ideal, p, max_e):
+    """L_1 .. L_max_e by the graded recurrence of the oracle docstring."""
+    return _brute.oracle_profile(ideal, p, max_e)[1]
+
+
 class TestComputeL:
     def test_l1_is_zero(self, chain3):
-        f1 = compute_f(chain3, 2, 1)
-        assert compute_l({1: f1}, 2, 1).is_zero()
+        assert _recurrence_l(chain3, 2, 1)[0].is_zero()
 
     def test_compositions(self):
         assert _brute.compositions(1) == []
@@ -48,12 +52,11 @@ class TestComputeL:
     def test_l2_is_f1_times_frobenius_f1(self, chain3):
         f1 = compute_f(chain3, 2, 1)
         expected = f1 * f1.frobenius_power(PrimePower(2, 1))
-        assert compute_l({1: f1}, 2, 2) == expected
+        assert _recurrence_l(chain3, 2, 2)[1] == expected
 
     def test_chain3_needs_new_at_two(self, chain3):
         # x1^4*x2^3 sits in F_2 but not in L_2 + I^[4]
-        f1 = compute_f(chain3, 2, 1)
-        l2 = compute_l({1: f1}, 2, 2)
+        l2 = _recurrence_l(chain3, 2, 2)[1]
         reachable = l2 + chain3.frobenius_power(PrimePower(2, 2))
         witness = (4, 3, 0)
         assert witness in compute_f(chain3, 2, 2)
@@ -61,7 +64,7 @@ class TestComputeL:
 
     def test_order_invariance(self, chain3):
         # summing the composition terms in any order gives the same ideal,
-        # and that ideal is the graded recurrence compute_l evaluates
+        # and that ideal is the graded recurrence
         f1 = compute_f(chain3, 2, 1)
         f2 = compute_f(chain3, 2, 2)
         fs = {1: f1, 2: f2}
@@ -82,7 +85,7 @@ class TestComputeL:
         backward = MonomialIdeal.zero(3)
         for t in reversed(terms):
             backward = backward + t
-        assert forward == backward == compute_l(fs, 2, 3)
+        assert forward == backward == _recurrence_l(chain3, 2, 3)[2]
         gens = {k: list(f.generators()) for k, f in fs.items()}
         assert list(forward.generators()) == _brute.compositions_l(gens, 2, 3)
 
@@ -90,8 +93,9 @@ class TestComputeL:
 def _matches_compositions(ideal, p, max_e):
     fs = {e: compute_f(ideal, p, e) for e in range(1, max_e + 1)}
     gens = {e: list(f.generators()) for e, f in fs.items()}
+    ls = _recurrence_l(ideal, p, max_e)
     for e in range(1, max_e + 1):
-        fast = list(compute_l(fs, p, e).generators())
+        fast = list(ls[e - 1].generators())
         assert fast == _brute.compositions_l(gens, p, e), (ideal, p, e)
 
 
@@ -156,9 +160,8 @@ def test_oracle_matches_replaced_paths_on_every_class(p, max_e, squarefree_class
     for n in range(1, 6):
         for ideal, _ in squarefree_classes(n):
             profile = classify_up_to(ideal, p, max_e)
-            fs, ls, flags = _brute.oracle_profile(ideal, p, max_e)
+            fs, _, flags = _brute.oracle_profile(ideal, p, max_e)
             assert profile.f_ideals == fs, ideal
-            assert profile.l_ideals == ls, ideal
             assert profile.needs_new == flags, ideal
 
 
@@ -195,14 +198,15 @@ def test_flags_match_replaced_paths_random(case):
 
 def test_flags_stand_under_a_budget_that_only_l_exceeds(monkeypatch):
     # on the 4-variable path the colons and the membership tests check at
-    # most 18 generators at p = 3, the products F_k * F_{e-k}^[3^k] 36
+    # most 18 generators at p = 3, while L_2 and L_3, never formed, have 29
+    # and 31
     path4 = MonomialIdeal([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
     expected = classify_up_to(path4, 3, 3).needs_new
+    ls = _recurrence_l(path4, 3, 3)
+    assert [l_e.num_generators() for l_e in ls] == [0, 29, 31]
     monkeypatch.setenv("FROBLOC_MAX_GENS", "20")
     profile = classify_up_to(path4, 3, 3)
     assert profile.needs_new == expected == (True, True, True)
-    with pytest.raises(ResourceLimit):
-        profile.l_ideals
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def test_l_contained_in_f():
     ]
     for ideal in fixtures:
         profile = classify_up_to(ideal, 2, 3)
-        for f_e, l_e in zip(profile.f_ideals, profile.l_ideals):
+        for f_e, l_e in zip(profile.f_ideals, _recurrence_l(ideal, 2, 3)):
             assert f_e.contains_each(l_e.gens).all()
 
 
