@@ -13,11 +13,11 @@ operations that dominate every heavier computation in this package are
 Both are blocked numpy broadcasts.  ``perfbench/run.py --trace 1`` reports
 their call, row and pair-operation counts on the end-to-end workloads.
 
-``minimal_mask`` needs pairwise-distinct rows (duplicate rows would mask
-each other); ``monomials._minimal_rows`` deduplicates with ``numpy.unique``
-before every call.  The sum of two ideals needs neither: both summands are
-already canonical antichains, so it is two ``divides_any`` cross tests and a
-lexsort merge.
+``minimal_mask`` needs pairwise-distinct rows: its degree test is strict,
+so equal rows never mask each other and every copy is kept
+(``[[1,0],[1,0],[1,1]]`` gives ``[True, True, False]``).
+``monomials._minimal_rows`` deduplicates with ``numpy.unique`` before every
+call.
 """
 
 from __future__ import annotations

@@ -243,14 +243,14 @@ def is_open(u: Container[int], outside: Iterable[int], n: int) -> Openness:
     return Openness.OPEN
 
 
-def render_expression(members: Iterable[Stratum], universe: Sequence[Stratum]) -> str:
-    """Canonical D/V display of a union of strata.
+def render_expression(members: Iterable[Stratum], n: int) -> str:
+    """Canonical D/V display of a union of strata in n variables.
 
     Minimal members whose whole up-set (inside the ambient) belongs to the
     family contribute their closure V(x_j : j in Z); every other member is
     written as its locally closed stratum V(...) cap D(prod of W-variables).
 
-    The universe must be upward-closed and contain the members, as in
+    The members must lie in an upward-closed universe of strata, as in
     ``is_open``: a member's up-set is then every Z-superset of it, so it
     lies in the family iff each single-bit cover z | 1 << i does, and a
     member is minimal iff no co-cover z & ~(1 << i) lies in the family's
@@ -259,7 +259,6 @@ def render_expression(members: Iterable[Stratum], universe: Sequence[Stratum]) -
     members = set(members)
     if not members:
         return "(empty)"
-    n = universe[0].n
     masks = {s.mask for s in members}
     above = _upward_closure(masks, n)
     closed: set[int] = set()  # members whose whole up-set is in the family
@@ -323,8 +322,7 @@ class LocusReport:
         ]
         if not principal:
             chosen += self.inadmissible
-        universe = [v.stratum for v in self.verdicts] + list(self.inadmissible)
-        return render_expression(chosen, universe)
+        return render_expression(chosen, self.ideal.n)
 
     @functools.cached_property
     def expression_u(self) -> str:

@@ -255,31 +255,15 @@ class MonomialIdeal:
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Sum: the generators of each side that the other side does not cover.
-
-        Both sides are canonical antichains, so a generator of one side is
-        minimal in the sum iff no generator of the other side strictly
-        divides it; a generator of both sides is kept once.  That takes two
-        divisibility cross tests and a lexsort merge, no minimalization.
-        """
+        """Sum: both generator sets stacked and minimalized once, as every
+        constructor canonicalizes."""
         self._same_ambient(other)
-        # drops the rows of other that equal a row of self, too
-        theirs = other.gens[~_kernels.divides_any(self.gens, other.gens)]
-        if theirs.shape[0] == 0:
-            return self
-        # a strict divisor in other survives the filter above: whatever
-        # divided it would also divide a generator of self
-        ours = self.gens[~_kernels.divides_any(theirs, self.gens)]
-        if ours.shape[0] == 0:
-            return other
-        rows = np.concatenate([ours, theirs])
-        return MonomialIdeal._from_canonical(rows[np.lexsort(rows.T[::-1])], self.n)
+        rows = np.concatenate([self.gens, other.gens])
+        return MonomialIdeal._from_canonical(_minimal_rows(rows), self.n)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ambient(other)
         a, b = self.gens, other.gens
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            return MonomialIdeal.zero(self.n)
         _check_budget(a.shape[0] * b.shape[0])
         hi = int(a.max(initial=0)) + int(b.max(initial=0))
         if hi >= _MAX_EXPONENT:
@@ -290,10 +274,7 @@ class MonomialIdeal:
     def __and__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection: pairwise lcms, minimalized."""
         self._same_ambient(other)
-        a, b = self.gens, other.gens
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            return MonomialIdeal.zero(self.n)
-        return MonomialIdeal._from_canonical(_lcm_rows(a, b, self.n), self.n)
+        return MonomialIdeal._from_canonical(_lcm_rows(self.gens, other.gens, self.n), self.n)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """(self : other) = {m | m*g in self for every generator g of other}.

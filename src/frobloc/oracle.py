@@ -81,7 +81,12 @@ class GenerationProfile:
 
     @property
     def finitely_generated_consistent(self) -> bool:
-        """No new generators needed at any degree 2 <= e <= max_e."""
+        """No new generators needed at any degree 2 <= e <= max_e.
+
+        Vacuous at max_e = 1: ``needs_new[1:]`` is then empty, so every
+        profile reads consistent.  That is why the CLI rejects ``--check``
+        and ``oracle`` below depth 2.
+        """
         return not any(self.needs_new[1:])
 
     def summary(self) -> str:
@@ -99,7 +104,9 @@ def classify_up_to(ideal: MonomialIdeal, p: int, max_e: int) -> GenerationProfil
 
     A profile with needs_new false beyond degree 1 is evidence for (never a
     proof of) finite generation; any true flag at degree >= 2 reproduces the
-    construction used to exhibit infinitely generated examples.
+    construction used to exhibit infinitely generated examples.  At max_e = 1
+    there is no such degree and ``finitely_generated_consistent`` holds
+    vacuously, so the CLI's ``--check`` and ``oracle`` need max_e >= 2.
     """
     if ideal.is_zero():
         raise ValueError("the zero ideal has no generation profile")

@@ -244,9 +244,9 @@ class TestCommands:
         calls = []
         render = locus_module.render_expression
 
-        def counting(members, universe):
-            calls.append(len(universe))
-            return render(members, universe)
+        def counting(members, n):
+            calls.append(n)
+            return render(members, n)
 
         monkeypatch.setattr(locus_module, "render_expression", counting)
         argv = ["locus", "x1*x2, x2*x3, x3*x4, x4*x5, x5*x6", "--p", "2"]

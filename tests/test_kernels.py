@@ -36,3 +36,7 @@ def test_edge_shapes():
     assert _kernels.minimal_mask(rows).tolist() == [True]
     assert _kernels.divides_any(empty, rows).tolist() == [False]
     assert _kernels.divides_any(rows, empty).shape == (0,)
+    # the degree test is strict, so equal rows never mask each other: every
+    # copy survives, which is why _minimal_rows deduplicates first
+    copies = np.array([[1, 0], [1, 0], [1, 1]], dtype=np.int64)
+    assert _kernels.minimal_mask(copies).tolist() == [True, True, False]

@@ -1,8 +1,12 @@
-"""The benchmark's layer tracer still finds and restores what it wraps."""
+"""The benchmark's layer tracer still finds and restores what it wraps, and
+its workloads' correctness gates pass on this code."""
 
 import json
 from pathlib import Path
 
+import pytest
+
+import frobloc
 from frobloc import cli
 from frobloc.monomials import MonomialIdeal
 
@@ -29,3 +33,16 @@ def test_tracer_spans_the_oracle_and_locus_and_restores_them(capsys, monkeypatch
     assert {"oracle.compute_f", "monomials.colon", "locus.build_locus"} <= names
     assert MonomialIdeal.__dict__["colon"] is colon
     assert not hasattr(cli.classify_up_to, "__wrapped__")
+
+
+@pytest.mark.parametrize("name", ["locus-graph", "enumerate-5", "oracle-deep"])
+def test_workload_gates_pass(name, capsys, monkeypatch):
+    # the gates call decompose, substitute, GenerationClass and the
+    # MonomialIdeal(rows, n) constructor; a break there fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for command in workloads.build(frobloc, name, 1):
+        rc = cli.main(list(command.argv))
+        assert workloads.verify(command, rc, capsys.readouterr().out) is None
+    assert cli.main(list(workloads.warm_argv(name, 1))) == cli.EXIT_OK
