@@ -34,6 +34,7 @@ from .monomials import (
     format_monomial,
     generator_budget,
     require_prime,
+    substitute,
 )
 from .oracle import GenerationProfile, classify_up_to
 from .symbolic import (
@@ -285,7 +286,7 @@ def _cmd_locus(args) -> int:
     }
     _emit(args, payload, lambda: _locus_text(report, args))
     if args.check:
-        for v, needs_new in _disagreements(report.verdicts, args.p, args.max_e, {}):
+        for v, needs_new in _disagreements(report, args.max_e, {}):
             print(
                 f"disagreement on {v.stratum.render()}: classifier says "
                 f"{v.generation.label}, oracle profile {needs_new}",
@@ -338,25 +339,25 @@ def _oracle_key(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def _disagreements(
-    verdicts,
-    p: int,
+    report: LocusReport,
     max_e: int,
     memo: "dict[MonomialIdeal, tuple[bool, tuple[bool, ...]]]",
 ):
-    """Yield (verdict, oracle needs_new flags) for each verdict the oracle
-    contradicts.
+    """Yield (verdict, oracle needs_new flags) for each verdict of the report
+    that the oracle contradicts, in the report's order.
 
-    The oracle runs on the ``_oracle_key`` of each substituted ideal, and
-    ``memo`` maps that key to the oracle's (finitely_generated_consistent,
-    needs_new), never to a whole profile with its F_e ideals.  The
-    oracle's answer does not change under relabelling the variables or
-    dropping unused ones, and strata share their substituted ideals up to
-    both.  Only the principal/infinite verdict is compared: every infinite
-    verdict carries the ComplementPattern certificate."""
-    for verdict in verdicts:
-        key = _oracle_key(verdict.substituted)
+    The oracle runs on the ``_oracle_key`` of phi_W(I), substituted from the
+    report's ideal at each verdict's stratum, and ``memo`` maps that key to
+    the oracle's (finitely_generated_consistent, needs_new), never to a
+    whole profile with its F_e ideals.  The oracle's answer does not change
+    under relabelling the variables or dropping unused ones, and strata
+    share their substituted ideals up to both.  Only the principal/infinite
+    verdict is compared: every infinite verdict carries the
+    ComplementPattern certificate."""
+    for verdict in report.verdicts:
+        key = _oracle_key(substitute(report.ideal, verdict.stratum.inverted))
         if key not in memo:
-            profile = classify_up_to(key, p, max_e)
+            profile = classify_up_to(key, report.p, max_e)
             memo[key] = profile.finitely_generated_consistent, profile.needs_new
         consistent, needs_new = memo[key]
         if (verdict.generation is GenerationClass.PRINCIPAL) != consistent:
@@ -405,84 +406,74 @@ def _cmd_enumerate(args) -> int:
     # class localizes to some class: one decomposition per class decides all
     generations = [decompose(ideal, args.p).generation_class for ideal, _ in reps]
     infinite = np.array([g is GenerationClass.INFINITE for g in generations])
-    rows = []
-    counts = {"principal": 0, "infinite": 0}
+    rows = [
+        {
+            # a tuple encodes as a JSON array and is smaller than a list:
+            # the n = 6 census holds 16351 rows until its output is built
+            "generators": ideal.generators(),
+            "orbit": orbit,
+            "class": generation.value,
+            "openness": class_openness(local, infinite).value,
+        }
+        for (ideal, orbit), generation, local in zip(reps, generations, table)
+    ]
+    counts = {c: sum(r["class"] == c for r in rows) for c in ("principal", "infinite")}
     # "unknown" stays in the output schema; it is always 0
-    openness_counts = {"open": 0, "not_open": 0, "unknown": 0}
-    total_orbit = 0
+    openness_counts = {
+        o: sum(r["openness"] == o for r in rows) for o in ("open", "not_open", "unknown")
+    }
+    total_orbit = sum(orbit for _, orbit in reps)
     checked = disagreements = 0
-    # the oracle's finitely_generated_consistent per class, filled in class
-    # order: no stratum of a class localizes to a later class
-    consistent = np.zeros(len(reps), dtype=bool)
-    for index, (ideal, orbit) in enumerate(reps):
-        openness = class_openness(table[index], infinite)
-        generation = generations[index]
-        counts[generation.value] += 1
-        openness_counts[openness.value] += 1
-        total_orbit += orbit
-        if args.check:
-            profile = classify_up_to(ideal, args.p, args.max_e)
-            consistent[index] = profile.finitely_generated_consistent
-            # a principal verdict disagrees with an inconsistent profile, an
-            # infinite one with a consistent profile
-            local = table[index][table[index] >= 0]
-            checked += len(local)
-            disagreements += int(np.count_nonzero(consistent[local] == infinite[local]))
-        rows.append(
-            {
-                # a tuple encodes as a JSON array and is smaller than a list:
-                # the n = 6 census holds 16351 rows until its output is built
-                "generators": ideal.generators(),
-                "orbit": orbit,
-                "class": generation.value,
-                "openness": openness.value,
-            }
+    if args.check:
+        # the oracle's finitely_generated_consistent per class, in class order
+        consistent = np.array(
+            [
+                classify_up_to(ideal, args.p, args.max_e).finitely_generated_consistent
+                for ideal, _ in reps
+            ],
+            dtype=bool,
         )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": args.vars,
-                    "p": args.p,
-                    "ideals": rows,
-                    "counts": {
-                        "classes": len(reps),
-                        "ideals": total_orbit,
-                        **counts,
-                        "openness": openness_counts,
-                    },
-                    "checked_strata": checked,
-                    "disagreements": disagreements,
-                }
-            )
-        )
-    else:
-        print(
+        # every admissible stratum of every class at once: a principal verdict
+        # disagrees with an inconsistent profile, an infinite one with a
+        # consistent profile
+        local = table[table >= 0]
+        checked = len(local)
+        disagreements = int(np.count_nonzero(consistent[local] == infinite[local]))
+    payload = {
+        "n": args.vars,
+        "p": args.p,
+        "ideals": rows,
+        "counts": {
+            "classes": len(reps),
+            "ideals": total_orbit,
+            **counts,
+            "openness": openness_counts,
+        },
+        "checked_strata": checked,
+        "disagreements": disagreements,
+    }
+
+    def text() -> str:
+        lines = [
             f"square-free ideals on {args.vars} variables: {total_orbit} "
-            f"({len(reps)} classes up to permutation), p={args.p}"
-        )
-        print(
-            f"classes: principal {counts['principal']}, "
-            f"infinite {counts['infinite']}"
-        )
-        print(
-            f"locus openness: open {openness_counts['open']}, "
-            f"not_open {openness_counts['not_open']}, "
-            f"unknown {openness_counts['unknown']}"
-        )
-        for (ideal, _), row in zip(reps, rows):
-            print(
+            f"({len(reps)} classes up to permutation), p={args.p}",
+            f"classes: principal {counts['principal']}, infinite {counts['infinite']}",
+            "locus openness: " + ", ".join(f"{o} {c}" for o, c in openness_counts.items()),
+            *(
                 f"  {ideal.render():<40} orbit {row['orbit']:>3}  "
                 f"{row['class']:<10} U {row['openness']}"
-            )
+                for (ideal, _), row in zip(reps, rows)
+            ),
+        ]
         if args.check:
-            print(
+            lines.append(
                 f"oracle cross-check: {checked} strata checked, "
                 f"{disagreements} disagreements"
             )
-    if args.check and disagreements:
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
+    return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

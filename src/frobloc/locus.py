@@ -11,7 +11,7 @@ its openness is a purely combinatorial question: a union of strata is
 closed iff its index family is upward-closed under Z-inclusion.  One
 classifier, ``classify_stratum``, decides each stratum from the ideal's one
 global decomposition: its J rows are substituted at W and J_Z = 0 iff none
-of them is residual; the verdict keeps only phi_W(I) (``substituted``).
+of them is residual; the verdict is the stratum and its class.
 Two lists give the strata, ``all_strata(n)`` and ``enumerate_strata(I)``
 (those meeting V(I)), both bounded by MAX_STRATA.  Both are upward-closed,
 so openness (``is_open``, the census's too) and the display walk
@@ -119,7 +119,6 @@ class Openness(enum.Enum):
 class StratumVerdict:
     stratum: Stratum
     generation: GenerationClass
-    substituted: MonomialIdeal  # phi_W(I), the ideal's image on the stratum
 
 
 # the strata are enumerated one by one, 2^n of them; the scan alone takes
@@ -205,8 +204,8 @@ def classify_stratum(
         raise InadmissibleStratum(f"{stratum.render()} does not meet V(I)")
     j = substitute(decomposition.j_part.ranks, inverted)
     if len(_residual_rows(sub, j.gens, compute_beta(sub))):
-        return StratumVerdict(stratum, GenerationClass.INFINITE, sub)
-    return StratumVerdict(stratum, GenerationClass.PRINCIPAL, sub)
+        return StratumVerdict(stratum, GenerationClass.INFINITE)
+    return StratumVerdict(stratum, GenerationClass.PRINCIPAL)
 
 
 # ---------------------------------------------------------------------------

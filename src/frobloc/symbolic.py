@@ -193,7 +193,9 @@ class ColonDecomposition:
         frob = self.frobenius_part.instantiate(q)
         j = self.j_part.instantiate(q)
         socle = MonomialIdeal([[b * (q - 1) for b in self.beta]], self.base.n)
-        return DecompositionParts(frob, j, socle, image + j + socle)
+        rows = np.concatenate([image.gens, j.gens, socle.gens])  # minimalized once
+        colon = MonomialIdeal.from_matrix(rows, self.base.n)
+        return DecompositionParts(frob, j, socle, colon)
 
     @property
     def generation_class(self) -> GenerationClass:

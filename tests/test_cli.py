@@ -29,7 +29,7 @@ from frobloc.cli import (
 from frobloc.enumeration import canonical_squarefree_ideals
 from frobloc.errors import AmbientMismatch, InadmissibleStratum
 from frobloc.locus import build_locus
-from frobloc.monomials import MonomialIdeal
+from frobloc.monomials import MonomialIdeal, substitute
 from frobloc.oracle import GenerationProfile, classify_up_to
 from frobloc.symbolic import GenerationClass, compute_u_prime, decompose
 
@@ -212,8 +212,9 @@ class TestCommands:
         assert "Z={" in capsys.readouterr().out
         # 55 strata and 32 distinct substituted ideals; one oracle run per
         # oracle key, each a relabelling of its ideals on their support
-        report = build_locus(parse_ideal(path8), 2)
-        local = {v.substituted for v in report.verdicts}
+        ideal = parse_ideal(path8)
+        report = build_locus(ideal, 2)
+        local = {substitute(ideal, v.stratum.inverted) for v in report.verdicts}
         assert len(report.verdicts) == 55 and len(local) == 32
         assert len(bases) == len(set(bases)) == 10
         assert all(_support(base) == base.n for base in bases)
@@ -271,7 +272,7 @@ class TestCommands:
         # not the F_e and L_e ideals of its profile
         memo = {}
         report = build_locus(parse_ideal("x1*x2, x2*x3, x3*x4"), 2)
-        assert list(cli._disagreements(report.verdicts, 2, 3, memo)) == []
+        assert list(cli._disagreements(report, 3, memo)) == []
         assert memo
         for value in memo.values():
             assert not isinstance(value, GenerationProfile)

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 from itertools import combinations
 
@@ -155,9 +156,9 @@ class TestClassifyStratum:
         d = decompose(chain4, 2)
         for s in enumerate_strata(chain4):
             v = classify_stratum(d, s)
-            assert v.substituted == substitute(chain4, s.inverted)
             principal = v.generation is GenerationClass.PRINCIPAL
-            assert principal == decompose(v.substituted, 2).j_part.is_zero()
+            sub = substitute(chain4, s.inverted)
+            assert principal == decompose(sub, 2).j_part.is_zero()
 
 
 class TestBuildLocus:
@@ -351,8 +352,7 @@ def test_oracle_agreement_all_strata_n3(squarefree_classes):
             d = decompose(ideal, 2)
             for s in enumerate_strata(ideal):
                 v = classify_stratum(d, s)
-                assert v.substituted == substitute(ideal, s.inverted)
-                profile = classify_up_to(v.substituted, 2, 3)
+                profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
                 principal = v.generation is GenerationClass.PRINCIPAL
                 assert principal == profile.finitely_generated_consistent
 
@@ -363,8 +363,7 @@ def test_oracle_agreement_extended(squarefree_classes):
         d = decompose(ideal, 2)
         for s in enumerate_strata(ideal):
             v = classify_stratum(d, s)
-            assert v.substituted == substitute(ideal, s.inverted)
-            profile = classify_up_to(v.substituted, 2, 3)
+            profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
             principal = v.generation is GenerationClass.PRINCIPAL
             assert principal == profile.finitely_generated_consistent
     for n in (2, 3):
@@ -372,8 +371,7 @@ def test_oracle_agreement_extended(squarefree_classes):
             d = decompose(ideal, 3)
             for s in enumerate_strata(ideal):
                 v = classify_stratum(d, s)
-                assert v.substituted == substitute(ideal, s.inverted)
-                profile = classify_up_to(v.substituted, 3, 3)
+                profile = classify_up_to(substitute(ideal, s.inverted), 3, 3)
                 principal = v.generation is GenerationClass.PRINCIPAL
                 assert principal == profile.finitely_generated_consistent
 
@@ -387,11 +385,11 @@ def _stratum_agrees(global_colon, global_d, verdict, local_colon, reference):
     ``reference`` = decompose(phi_W(I)): the substituted global colon is
     ``local_colon``, the colon of phi_W(I) (both computed by
     colon_symbolic); the residual rows of the substituted global J are
-    exactly the rows of the reference's J; and the verdict's class and
-    ``substituted`` are the reference's."""
+    exactly the rows of the reference's J; and the verdict's class is the
+    reference's."""
     inverted = verdict.stratum.inverted
     sub = substitute(global_d.base, inverted)
-    assert reference.base == sub == verdict.substituted
+    assert reference.base == sub
     assert substitute(global_colon.ranks, inverted) == local_colon.ranks
     j = substitute(global_d.j_part.ranks, inverted)
     rows = symbolic._residual_rows(sub, j.gens, compute_beta(sub))
@@ -412,7 +410,7 @@ def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_cl
                 colon = colon_symbolic(ideal, p)
                 global_d = decompose(ideal, p)
                 for v in report.verdicts:
-                    sub = v.substituted
+                    sub = substitute(ideal, v.stratum.inverted)
                     if (sub, p) not in reference:
                         reference[sub, p] = _definitional(sub, p)
                     _stratum_agrees(colon, global_d, v, *reference[sub, p])
@@ -519,7 +517,6 @@ def test_build_locus_matches_definitional_on_paths_and_cycles(kind):
         assert [v.stratum for v in report.verdicts] == enumerate_strata(ideal)
         for v in report.verdicts:
             sub = substitute(ideal, v.stratum.inverted)
-            assert v.substituted == sub
             principal = v.generation is GenerationClass.PRINCIPAL
             assert principal == decompose(sub, 2).j_part.is_zero()
 
@@ -585,9 +582,8 @@ def _witnessed(global_d, verdict):
     converse does not hold: principal strata may have a witness too."""
     if verdict.generation is GenerationClass.PRINCIPAL:
         return False
-    witness = _brute.complement_pattern_witness(
-        global_d, verdict.stratum, verdict.substituted
-    )
+    sub = substitute(global_d.base, verdict.stratum.inverted)
+    witness = _brute.complement_pattern_witness(global_d, verdict.stratum, sub)
     assert witness is not None, (global_d.base, verdict.stratum, global_d.p)
     return True
 
@@ -602,7 +598,6 @@ def test_complement_pattern_matches_reference_on_every_enumerated_stratum(
             report = build_locus(ideal, p)
             d = decompose(ideal, p)
             for v in report.verdicts:
-                assert v.substituted == substitute(ideal, v.stratum.inverted)
                 infinite += _witnessed(d, v)
     assert infinite > 0
 
@@ -660,4 +655,12 @@ def test_pickle_round_trip(chain4):
     copy = pickle.loads(pickle.dumps(report))
     assert copy == report
     assert copy.expression_u == report.expression_u
-    assert copy.verdicts[0].substituted == report.verdicts[0].substituted
+
+
+def test_verdicts_hold_no_ideal(chain4):
+    # a verdict is its stratum and its class; phi_W(I) is substituted from
+    # the report's ideal when it is needed
+    for ambient in ("vi", "full"):
+        for v in build_locus(chain4, 2, ambient=ambient).verdicts:
+            assert [f.name for f in dataclasses.fields(v)] == ["stratum", "generation"]
+            assert not any(isinstance(x, MonomialIdeal) for x in vars(v).values())
