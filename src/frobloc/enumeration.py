@@ -202,12 +202,6 @@ def census(n: int) -> Census:
     return Census(n, classes, tables, least[key_class], key_class)
 
 
-def canonical_squarefree_ideals(n: int) -> list[tuple[MonomialIdeal, int]]:
-    """One (ideal, orbit size) pair per symmetry class of proper square-free
-    ideals on exactly this ambient."""
-    return census(n).classes
-
-
 def _localized(tables, n: int) -> np.ndarray:
     """The truth table of phi_W(I) at every stratum of each table, indexed
     by its Z-mask (W is the complement of Z) along a new last axis: bit m

@@ -221,16 +221,8 @@ class MonomialIdeal:
     def num_generators(self) -> int:
         return self.gens.shape[0]
 
-    def contains(self, mono: Exponents) -> bool:
-        """True iff some generator divides the monomial."""
-        row = as_matrix([mono], self.n)
-        return bool(_kernels.divides_any(self.gens, row)[0])
-
     def contains_each(self, matrix: np.ndarray) -> np.ndarray:
         return _kernels.divides_any(self.gens, matrix)
-
-    def __contains__(self, mono: Exponents) -> bool:
-        return self.contains(mono)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
@@ -253,13 +245,6 @@ class MonomialIdeal:
             raise AmbientMismatch(f"ideals in {self.n} and {other.n} variables")
 
     # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Sum: both generator sets stacked and minimalized once, as every
-        constructor canonicalizes."""
-        self._same_ambient(other)
-        rows = np.concatenate([self.gens, other.gens])
-        return MonomialIdeal._from_canonical(_minimal_rows(rows), self.n)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._same_ambient(other)

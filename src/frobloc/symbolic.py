@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class SymbolicIdeal:
 
     def is_zero(self) -> bool:
         return self.ranks.is_zero()
-
-    def num_generators(self) -> int:
-        return self.ranks.num_generators()
 
     def rank_rows(self) -> list[list[int]]:
         """The rank rows in display order: lexicographic by the support (the
@@ -165,13 +162,6 @@ class GenerationClass(enum.Enum):
         return "InfinitelyGenerated"
 
 
-class DecompositionParts(NamedTuple):
-    frobenius: MonomialIdeal
-    j: MonomialIdeal
-    socle: MonomialIdeal
-    colon: MonomialIdeal
-
-
 @dataclass(frozen=True)
 class ColonDecomposition:
     """(I^[q]:I) split into Frobenius image, residual J and socle generator."""
@@ -181,21 +171,6 @@ class ColonDecomposition:
     frobenius_part: SymbolicIdeal
     j_part: SymbolicIdeal
     beta: tuple[int, ...]
-
-    def instantiate(self, e: int) -> DecompositionParts:
-        if e < 1:
-            raise ValueError(f"e={e} must be >= 1")
-        power = PrimePower(self.p, e)
-        # the int64 guard of I^[q] refuses q >= 2^62, from e >= 62 on before
-        # computing p^e
-        image = self.base.frobenius_power(power)
-        q = power.q
-        frob = self.frobenius_part.instantiate(q)
-        j = self.j_part.instantiate(q)
-        socle = MonomialIdeal([[b * (q - 1) for b in self.beta]], self.base.n)
-        rows = np.concatenate([image.gens, j.gens, socle.gens])  # minimalized once
-        colon = MonomialIdeal.from_matrix(rows, self.base.n)
-        return DecompositionParts(frob, j, socle, colon)
 
     @property
     def generation_class(self) -> GenerationClass:

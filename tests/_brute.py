@@ -103,7 +103,8 @@ def compositions_l(f_gens, p, e):
 
 
 def ideal_sum(i, j):
-    """i + j: stack both generator matrices and minimalize the stack."""
+    """i + j: stack both generator matrices and minimalize the stack.  The
+    library has no sum of its own; tests sum ideals with this."""
     return MonomialIdeal.from_matrix(np.vstack([i.gens, j.gens]), i.n)
 
 

@@ -21,7 +21,7 @@ def stratum_tables(censuses):
 
 @pytest.fixture(scope="session")
 def squarefree_classes(censuses):
-    """canonical_squarefree_ideals(n), enumerated once per test session."""
+    """census(n).classes, enumerated once per test session."""
     return lambda n: tuple(censuses(n).classes)
 
 

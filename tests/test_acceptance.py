@@ -8,7 +8,7 @@ import random
 import time
 
 import _brute
-from frobloc.enumeration import canonical_squarefree_ideals
+from frobloc.enumeration import census
 from frobloc.locus import (
     Openness,
     Stratum,
@@ -140,7 +140,7 @@ def test_criterion_4_oracle_equivalence():
     with criterion(4, "classifier/oracle equivalence on n <= 3", 120.0):
         disagreements = []
         for n in (1, 2, 3):
-            for ideal, _ in canonical_squarefree_ideals(n):
+            for ideal, _ in census(n).classes:
                 d = decompose(ideal, 2)
                 for stratum in enumerate_strata(ideal):
                     verdict = classify_stratum(d, stratum)
@@ -172,7 +172,7 @@ def test_criterion_6_principal_profiles():
     with criterion(6, "principal-case generation profiles", 60.0):
         exceptions = []
         for n in (1, 2, 3):
-            for ideal, _ in canonical_squarefree_ideals(n):
+            for ideal, _ in census(n).classes:
                 if decompose(ideal, 2).j_part.is_zero():
                     profile = classify_up_to(ideal, 2, 3)
                     if profile.needs_new != (True, False, False):
@@ -210,7 +210,7 @@ def test_criterion_7_membership_property_suite():
                 _brute.contains(power.generators(), _brute.mono_mul(mono, g))
                 for g in ideal.generators()
             )
-            if (mono in colon) != definition:
+            if _brute.contains(colon.generators(), mono) != definition:
                 failures += 1
             checks += 1
 
@@ -219,7 +219,7 @@ def test_criterion_7_membership_property_suite():
                 _brute.divides(tuple(q * c for c in g), mono)
                 for g in ideal.generators()
             )
-            if (mono in power) != scaled:
+            if _brute.contains(power.generators(), mono) != scaled:
                 failures += 1
             checks += 1
         assert checks == 1000

@@ -26,7 +26,7 @@ from frobloc.cli import (
     main,
     parse_ideal,
 )
-from frobloc.enumeration import canonical_squarefree_ideals
+from frobloc.enumeration import census
 from frobloc.errors import AmbientMismatch, InadmissibleStratum
 from frobloc.locus import build_locus
 from frobloc.monomials import MonomialIdeal, substitute
@@ -296,7 +296,7 @@ class TestCommands:
         # full stratum, and every localized base is in one of them
         assert len(bases) == len({_brute_class(b) for b in bases}) == 28
         # in class order: no stratum localizes to a later class
-        assert bases == [ideal for ideal, _ in canonical_squarefree_ideals(4)]
+        assert bases == [ideal for ideal, _ in census(4).classes]
 
     def test_locus_full_ambient(self, capsys):
         assert main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--ambient", "full"]) == 0
@@ -420,7 +420,7 @@ class TestExitCodes:
         assert main(argv) == EXIT_DISAGREEMENT
         principal = sum(
             v.generation is GenerationClass.PRINCIPAL
-            for ideal, _ in canonical_squarefree_ideals(3)
+            for ideal, _ in census(3).classes
             for v in build_locus(ideal, 2).verdicts
         )
         payload = json.loads(capsys.readouterr().out)

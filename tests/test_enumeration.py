@@ -8,7 +8,7 @@ from frobloc import enumeration
 from frobloc.enumeration import (
     _canonical,
     _localized,
-    canonical_squarefree_ideals,
+    census,
     class_openness,
     ideal_from_masks,
     stratum_table,
@@ -46,7 +46,7 @@ def test_all_enumerated_ideals_validate():
     for chain in _brute.antichains(3):
         validate_square_free(ideal_from_masks(chain, 3))
     for n in range(1, 5):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in census(n).classes:
             validate_square_free(ideal)
 
 
@@ -68,19 +68,19 @@ def test_canonical_key_permutation_invariant():
 
 def test_orbit_sizes_sum_to_total():
     for n in (2, 3, 4):
-        reps = canonical_squarefree_ideals(n)
+        reps = census(n).classes
         assert sum(orbit for _, orbit in reps) == len(_brute.antichains(n))
 
 
 def test_representative_counts():
-    assert len(canonical_squarefree_ideals(1)) == 1
-    assert len(canonical_squarefree_ideals(2)) == 3
-    assert len(canonical_squarefree_ideals(3)) == 8
+    assert len(census(1).classes) == 1
+    assert len(census(2).classes) == 3
+    assert len(census(3).classes) == 8
 
 
 def test_too_many_variables_rejected():
     with pytest.raises(ValueError):
-        canonical_squarefree_ideals(7)
+        census(7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -89,10 +89,10 @@ def test_matches_the_permutation_scan(n):
     # permutations on every antichain
     got = [
         (tuple(sorted(exponents_to_mask(g) for g in ideal.generators())), orbit)
-        for ideal, orbit in canonical_squarefree_ideals(n)
+        for ideal, orbit in census(n).classes
     ]
     assert got == _brute.canonical_classes(n)
-    for (key, _), (ideal, _) in zip(got, canonical_squarefree_ideals(n)):
+    for (key, _), (ideal, _) in zip(got, census(n).classes):
         assert ideal == ideal_from_masks(key, n)
 
 
@@ -116,7 +116,7 @@ def test_ideal_from_masks_matches_the_validating_constructor(squarefree_classes)
 def test_class_counts_and_orbit_sums(n, classes, ideals):
     # inequivalent monotone Boolean functions (OEIS A003182) and Dedekind
     # numbers, each minus the two constant functions
-    reps = canonical_squarefree_ideals(n)
+    reps = census(n).classes
     assert len(reps) == classes
     assert sum(orbit for _, orbit in reps) == ideals
 

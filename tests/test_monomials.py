@@ -94,19 +94,18 @@ class TestMinimalize:
 
 class TestContainment:
     def test_basic(self, chain3):
-        assert (1, 1, 1) in chain3
-        assert (1, 0, 1) not in chain3
+        probes = np.array([(1, 1, 1), (1, 0, 1)])
+        assert chain3.contains_each(probes).tolist() == [True, False]
 
     def test_zero_contains_nothing(self):
         zero = MonomialIdeal.zero(2)
-        assert (0, 0) not in zero
-        assert (3, 3) not in zero
+        assert zero.contains_each(np.array([(0, 0), (3, 3)])).tolist() == [False, False]
 
     def test_membership_by_definition(self):
         # brute-force check of the stated non-membership
         ideal = MonomialIdeal([(2, 0), (0, 2)])
         assert not _brute.contains(ideal.generators(), (1, 1))
-        assert (1, 1) not in ideal
+        assert not ideal.contains_each(np.array([(1, 1)]))[0]
 
     def test_equality_is_canonical(self):
         a = MonomialIdeal([(1, 1, 0), (0, 1, 1), (1, 1, 1)])
@@ -126,23 +125,17 @@ class TestIdealAlgebra:
             [(1, 1)]
         )
 
-    def test_sum_minimalizes(self):
-        s = MonomialIdeal([(2, 0), (0, 1)]) + MonomialIdeal([(1, 0)])
-        assert s == MonomialIdeal([(1, 0), (0, 1)])
-
     def test_zero_unit_laws(self, chain3):
         zero = MonomialIdeal.zero(3)
         unit = MonomialIdeal.unit(3)
-        assert chain3 + zero == chain3
         assert chain3 * zero == zero
         assert (chain3 & zero) == zero
         assert chain3 * unit == chain3
         assert (chain3 & unit) == chain3
-        assert chain3 + unit == unit
 
     def test_mismatched_ambient(self, chain3):
         with pytest.raises(AmbientMismatch):
-            chain3 + MonomialIdeal([(1, 1)])
+            chain3.colon(MonomialIdeal([(1, 1)]))
 
 
 @pytest.mark.parametrize(
@@ -314,19 +307,18 @@ def gen_set_pairs(draw):
 
 @given(gen_set_pairs())
 @settings(max_examples=60)
-def test_sum_intersect_membership(data):
+def test_intersect_membership(data):
     n, a, b = data
     i = MonomialIdeal(a, n)
     j = MonomialIdeal(b, n)
-    s = i + j
     meet = i & j
     probe_gens = list(i.generators()) + list(j.generators()) + list(meet.generators())
     for m in probe_gens:
         bumped = tuple(x + 1 for x in m)
         for probe in (m, bumped):
-            in_i, in_j = probe in i, probe in j
-            assert (probe in s) == (in_i or in_j)
-            assert (probe in meet) == (in_i and in_j)
+            in_i = _brute.contains(i.generators(), probe)
+            in_j = _brute.contains(j.generators(), probe)
+            assert _brute.contains(meet.generators(), probe) == (in_i and in_j)
 
 
 @st.composite
@@ -346,13 +338,10 @@ def operand_pairs(draw):
 
 @given(operand_pairs())
 @settings(max_examples=200, deadline=None)
-def test_sum_and_colon_match_definitions(data):
+def test_colon_matches_definitions(data):
     n, a, b = data
     i = MonomialIdeal(a, n)
     j = MonomialIdeal(b, n)
-    total = i + j
-    assert list(total.generators()) == _brute.minimalize(a + b)
-    assert total == _brute.ideal_sum(i, j)
     if i.is_zero():
         with pytest.raises(ValueError):
             j.colon(i)
@@ -378,8 +367,8 @@ def test_frobenius_membership(data, prime_power):
     for g in ideal.generators():
         scaled = tuple(q * c for c in g)
         off = tuple(max(0, q * c - 1) for c in g)
-        assert scaled in power
-        assert (off in power) == any(
+        assert _brute.contains(power.generators(), scaled)
+        assert _brute.contains(power.generators(), off) == any(
             _brute.divides(tuple(q * c for c in h), off) for h in ideal.generators()
         )
 
@@ -418,7 +407,7 @@ def test_colon_membership_equivalence(data):
             _brute.contains(j.generators(), _brute.mono_mul(m, g))
             for g in i.generators()
         )
-        assert (m in q) == definition
+        assert _brute.contains(q.generators(), m) == definition
 
 
 @pytest.mark.parametrize(

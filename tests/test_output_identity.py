@@ -14,7 +14,7 @@ import itertools
 import pytest
 
 from frobloc.cli import main
-from frobloc.enumeration import canonical_squarefree_ideals
+from frobloc.enumeration import census
 
 
 def _run(argv):
@@ -36,7 +36,7 @@ def _text(gens):
 
 def _classes():
     for n in range(1, 5):
-        for ideal, _ in canonical_squarefree_ideals(n):
+        for ideal, _ in census(n).classes:
             yield _text(ideal.generators()), n
 
 
@@ -64,6 +64,7 @@ CLASS_COMMANDS = {
     "locus": ("locus",),
     "locus-strict": ("locus", "--strict"),
     "locus-full": ("locus", "--ambient", "full"),
+    "oracle": ("oracle", "--max-e", "3"),
 }
 
 PATH4 = "x1*x2, x2*x3, x3*x4"
@@ -147,6 +148,7 @@ EXPECTED = {
     "enumerate": "ad525bcb13c85b0981f2ee750272f48b6f795da53d42c1cb22c67a6b8ed049a7",
     "enumerate-5": "64c51e64b4efadff00940682b71344b8abe241ae9d2e3b4ec3af927ddbb6aebf",
     "errors": "39cd600a9a075200a1e7927a5ff4ead40af003b7f237f098425aa26aa0a0f315",
+    "oracle": "f38a51f193c19e050f6023d10e1e87a770ba0501c43068a7d666f1fd916c1223",
 }
 
 

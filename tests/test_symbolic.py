@@ -29,6 +29,14 @@ def sym_ideal(rows, n):
     return SymbolicIdeal(MonomialIdeal(rows, n))
 
 
+def decomposition_sum(ideal, d, power):
+    """I^[q] + J_q + ((x^beta)^(q-1)) at q = p^e, each sum by definition."""
+    q = power.q
+    socle = MonomialIdeal([[b * (q - 1) for b in d.beta]], ideal.n)
+    image = ideal.frobenius_power(power)
+    return _brute.ideal_sum(_brute.ideal_sum(image, d.j_part.instantiate(q)), socle)
+
+
 class TestValidation:
     def test_accepts_square_free(self, chain3):
         assert validate_square_free(chain3) is chain3
@@ -141,10 +149,14 @@ class TestDecompose:
         )
         assert d.beta == (1, 1, 1, 1, 1)
 
-    def test_parts_partition_colon(self, chain5):
-        d = decompose(chain5, 2)
-        total = d.frobenius_part.num_generators() + d.j_part.num_generators() + 1
-        assert total == colon_symbolic(chain5, 2).num_generators()
+    def test_parts_partition_colon(self, squarefree_classes):
+        # the image rows, the J rows and the socle row beta are the colon's
+        for n in range(1, 5):
+            for ideal, _ in squarefree_classes(n):
+                d = decompose(ideal, 2)
+                parts = d.frobenius_part.rank_rows() + d.j_part.rank_rows()
+                rows = colon_symbolic(ideal, 2).rank_rows()
+                assert sorted(parts + [list(d.beta)]) == sorted(rows), ideal
 
     def test_generator_order(self):
         # support (slope vector) first, then rank; plain rank order would
@@ -165,32 +177,32 @@ class TestDecompose:
 
 class TestInstantiate:
     def test_j_part_at_q2(self, chain3):
-        d = decompose(chain3, 2)
-        parts = d.instantiate(1)
-        assert parts.j == MonomialIdeal([(2, 1, 0), (0, 1, 2)])
-        assert parts.socle == MonomialIdeal([(1, 1, 1)])
+        j = decompose(chain3, 2).j_part.instantiate(2)
+        assert j == MonomialIdeal([(2, 1, 0), (0, 1, 2)])
 
     def test_j_part_at_q4(self, chain3):
-        parts = decompose(chain3, 2).instantiate(2)
-        assert parts.j == MonomialIdeal([(4, 3, 0), (0, 3, 4)])
+        j = decompose(chain3, 2).j_part.instantiate(4)
+        assert j == MonomialIdeal([(4, 3, 0), (0, 3, 4)])
 
     @pytest.mark.parametrize("p,e", [(2, 62), (3, 40), (3, 62), (3, 10**6), (2, 10**9)])
     def test_huge_e_is_refused_fast(self, chain3, p, e):
-        d = decompose(chain3, p)
         start = time.perf_counter()
         with pytest.raises(OverflowError, match="exceeds the int64 guard"):
-            d.instantiate(e)
+            chain3.frobenius_power(PrimePower(p, e))
         assert time.perf_counter() - start < 1.0
 
     def test_e_boundary(self, chain3):
-        parts = decompose(chain3, 3).instantiate(39)  # 3^39 < 2^62 < 3^40
-        assert parts.socle == MonomialIdeal([(3**39 - 1,) * 3])
+        q = 3**39  # 3^39 < 2^62 < 3^40
+        power = chain3.frobenius_power(PrimePower(3, 39))
+        assert power == MonomialIdeal([(q, q, 0), (0, q, q)])
+        j = decompose(chain3, 3).j_part.instantiate(q)
+        assert j == MonomialIdeal([(q, q - 1, 0), (0, q - 1, q)])
 
     def test_full_sum_equals_colon(self, chain3):
         for p, e in [(2, 1), (2, 2), (3, 1)]:
-            parts = decompose(chain3, p).instantiate(e)
-            expected = chain3.frobenius_power(PrimePower(p, e)).colon(chain3)
-            assert parts.colon == expected
+            power = PrimePower(p, e)
+            expected = chain3.frobenius_power(power).colon(chain3)
+            assert decomposition_sum(chain3, decompose(chain3, p), power) == expected
 
 
 class TestClassifyGlobal:
@@ -208,8 +220,9 @@ class TestClassifyGlobal:
         ideal = MonomialIdeal([(1, 0), (0, 1)])
         d = decompose(ideal, 2)
         for e in (1, 2):
-            parts = d.instantiate(e)
-            assert parts.colon == ideal.frobenius_power(PrimePower(2, e)).colon(ideal)
+            power = PrimePower(2, e)
+            colon = ideal.frobenius_power(power).colon(ideal)
+            assert decomposition_sum(ideal, d, power) == colon
         assert d.generation_class is GenerationClass.PRINCIPAL
 
     def test_witness_scales_with_p(self, chain3):
@@ -257,9 +270,10 @@ def test_e_stability(p, e):
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
 def test_decomposition_completeness(p, e):
+    power = PrimePower(p, e)
     for ideal in _fixtures():
-        parts = decompose(ideal, p).instantiate(e)
-        assert parts.colon == ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
+        colon = ideal.frobenius_power(power).colon(ideal)
+        assert decomposition_sum(ideal, decompose(ideal, p), power) == colon
 
 
 def test_symbolic_exponents_stay_in_triple_set():
@@ -341,7 +355,7 @@ def test_j_part_disjoint_from_other_groups():
         socle = MonomialIdeal([[3 * b for b in d.beta]], ideal.n)
         for row in d.j_part.rank_rows():
             mono = tuple(_brute.at(r, 4) for r in row)
-            assert mono not in frob + socle
+            assert not _brute.contains(_brute.ideal_sum(frob, socle).generators(), mono)
 
 
 def test_pickle_round_trip(chain3):
@@ -350,4 +364,3 @@ def test_pickle_round_trip(chain3):
     d = decompose(chain3, 3)
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and hash(copy) == hash(d)
-    assert copy.instantiate(2) == d.instantiate(2)
