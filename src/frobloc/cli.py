@@ -243,12 +243,10 @@ def _cmd_uprime(args) -> int:
     return EXIT_OK
 
 
-def _locus_text(report: LocusReport, args) -> str:
-    ambient = "V(I)" if report.ambient == "vi" else "Spec(R)"
-    mode = "strict" if args.strict else "default"
+def _locus_text(report: LocusReport) -> str:
     lines = [
         f"I = {report.ideal.render()}   [n={report.ideal.n}]  p={report.p}  "
-        f"ambient={ambient}  mode={mode}",
+        "ambient=V(I)  mode=default",
         "stratum table:",
     ]
     width = max(len(v.stratum.render()) for v in report.verdicts)
@@ -257,8 +255,6 @@ def _locus_text(report: LocusReport, args) -> str:
             f"  {v.stratum.render():<{width}}  {v.generation.label:<22}"
             f"{_CERTIFICATE[v.generation]}"
         )
-    for s in report.inadmissible:
-        lines.append(f"  {s.render():<{width}}  (outside V(I))")
     lines.append(f"U   = {report.expression_u}")
     lines.append(f"U^c = {report.expression_complement}")
     lines.append(f"openness of U: {report.openness.label}")
@@ -269,7 +265,7 @@ def _locus_text(report: LocusReport, args) -> str:
 
 def _cmd_locus(args) -> int:
     ideal = _read_ideal_argument(args)
-    report = build_locus(ideal, args.p, ambient=args.ambient)
+    report = build_locus(ideal, args.p)
     payload = {
         "n": ideal.n,
         "p": args.p,
@@ -284,7 +280,7 @@ def _cmd_locus(args) -> int:
         ],
         "openness": report.openness.value,
     }
-    _emit(args, payload, lambda: _locus_text(report, args))
+    _emit(args, payload, lambda: _locus_text(report))
     if args.check:
         for v, needs_new in _disagreements(report, args.max_e, {}):
             print(
@@ -514,17 +510,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     loc = add_ideal_command("locus", "stratum-by-stratum locus report")
     loc.add_argument(
-        "--strict",
-        action="store_true",
-        help="accepted for compatibility: prints mode=strict, changes no verdict",
-    )
-    loc.add_argument(
-        "--ambient",
-        choices=("vi", "full"),
-        default="vi",
-        help="decide openness inside V(I) or in the full spectrum",
-    )
-    loc.add_argument(
         "--check",
         action="store_true",
         help="cross-check every stratum against the brute-force oracle",
@@ -546,9 +531,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="cross-check every stratum against the brute-force oracle",
-    )
-    enum.add_argument(
-        "--strict", action="store_true", help="accepted for compatibility; no effect"
     )
     enum.add_argument("--json", action="store_true")
     enum.set_defaults(handler=_cmd_enumerate)

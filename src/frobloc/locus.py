@@ -12,10 +12,9 @@ closed iff its index family is upward-closed under Z-inclusion.  One
 classifier, ``classify_stratum``, decides each stratum from the ideal's one
 global decomposition: its J rows are substituted at W and J_Z = 0 iff none
 of them is residual; the verdict is the stratum and its class.
-Two lists give the strata, ``all_strata(n)`` and ``enumerate_strata(I)``
-(those meeting V(I)), both bounded by MAX_STRATA.  Both are upward-closed,
-so openness (``is_open``, the census's too) and the display walk
-single-bit covers z | 1 << i.
+One list gives the strata, ``enumerate_strata(I)`` (those meeting V(I)),
+bounded by MAX_STRATA.  It is upward-closed, so openness (``is_open``, the
+census's too) and the display walk single-bit covers z | 1 << i.
 
 A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
 it.  Z-inclusion a <= b is then ``a & ~b == 0``, and a stratum meets V(I)
@@ -46,7 +45,10 @@ f = {i}, which makes phi_i(I) the unit.  So (v, h) witnesses I.
 Density: on a minimal stratum Z of V(I) (a minimal prime), phi_W(I) is
 generated by the variables of Z, and the criterion gives J = 0, since the
 q-set {w} of any choice contains the generator x_w.  So U holds every
-generic point of V(I) and has nonempty interior.
+generic point of V(I) and has nonempty interior.  For the same reason U is
+never open in the whole polynomial spectrum when I is proper and nonzero:
+each co-cover Z minus {i} of a minimal stratum Z misses V(I).  So U is
+decided in Spec(R) = V(I) only, for R = K[[x_1..x_n]]/I as in the paper.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from itertools import islice
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable
 
 from .errors import InadmissibleStratum, ResourceLimit
 from .monomials import MonomialIdeal, exponents_to_mask, format_monomial, substitute
@@ -141,31 +143,20 @@ def _check_strata_vars(n: int) -> None:
         )
 
 
-def _bounded(n: int, masks: Iterable[int], where: str, done: str) -> list[Stratum]:
-    """The strata of an ascending mask scan, which stops after MAX_STRATA + 1
-    masks and then raises ResourceLimit rather than list them all; the
-    message says what is ``done`` with at most MAX_STRATA of them."""
-    masks = list(islice(masks, MAX_STRATA + 1))
-    if len(masks) > MAX_STRATA:
-        raise ResourceLimit(
-            f"more than {MAX_STRATA} strata {where}; at most {MAX_STRATA} "
-            f"are {done}"
-        )
-    return [Stratum(n, z) for z in masks]
-
-
-def all_strata(n: int) -> list[Stratum]:
-    """Every stratum among n variables, ordered by Z-mask; ResourceLimit
-    beyond MAX_STRATA_VARS variables or MAX_STRATA strata."""
-    _check_strata_vars(n)
-    return _bounded(n, range(1 << n), "lie in Spec(R)", "classified")
-
-
 def _meeting(ideal: MonomialIdeal, done: str) -> list[Stratum]:
+    """The strata meeting V(I) by an ascending mask scan, which stops after
+    MAX_STRATA + 1 of them and then raises ResourceLimit rather than list
+    them all; the message says what is ``done`` with at most MAX_STRATA."""
     _check_strata_vars(ideal.n)
     support = _support_masks(ideal)
     masks = (z for z in range(1 << ideal.n) if all(g & z for g in support))
-    return _bounded(ideal.n, masks, "meet V(I)", done)
+    masks = list(islice(masks, MAX_STRATA + 1))
+    if len(masks) > MAX_STRATA:
+        raise ResourceLimit(
+            f"more than {MAX_STRATA} strata meet V(I); at most {MAX_STRATA} "
+            f"are {done}"
+        )
+    return [Stratum(ideal.n, z) for z in masks]
 
 
 def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
@@ -305,22 +296,17 @@ class LocusReport:
 
     ideal: MonomialIdeal
     p: int
-    ambient: str  # "vi" (inside V(I)) or "full"
     verdicts: tuple[StratumVerdict, ...]
-    inadmissible: tuple[Stratum, ...]
     openness: Openness
     notes: tuple[str, ...]
 
     def _display(self, principal: bool) -> str:
-        """The D/V display of the strata whose verdict is (not) principal;
-        the strata missing V(I) count as not principal."""
+        """The D/V display of the strata whose verdict is (not) principal."""
         chosen = [
             v.stratum
             for v in self.verdicts
             if (v.generation is GenerationClass.PRINCIPAL) is principal
         ]
-        if not principal:
-            chosen += self.inadmissible
         return render_expression(chosen, self.ideal.n)
 
     @functools.cached_property
@@ -342,34 +328,21 @@ _PUBLISHED_DISCREPANCIES: dict[tuple[int, tuple[tuple[int, ...], ...]], str] = {
 }
 
 
-def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusReport:
-    """Classify every admissible stratum and decide openness of U.
+def build_locus(ideal: MonomialIdeal, p: int) -> LocusReport:
+    """Classify every stratum of V(I) and decide openness of U in V(I).
 
     The ideal is decomposed once; ``classify_stratum`` decides each stratum
-    of ``enumerate_strata(ideal)`` from that decomposition.  ambient="vi"
-    works inside V(I) (only admissible strata exist).  ambient="full" keeps
-    ``all_strata(n)``: U, a union of strata inside the proper closed set
-    V(I), is then compared against the whole spectrum, and the inadmissible
-    strata (which miss V(I)) count towards its complement.  Both lists are
-    built, and their ResourceLimit raised, before any stratum is classified.
+    of ``enumerate_strata(ideal)`` from that decomposition.  The list is
+    built, and its ResourceLimit raised, before any stratum is classified.
     """
-    if ambient not in ("vi", "full"):
-        raise ValueError(f"ambient must be 'vi' or 'full', got {ambient!r}")
     global_d = decompose(ideal, p)
-    admissible = enumerate_strata(ideal)
-    if ambient == "vi":
-        universe: Sequence[Stratum] = admissible
-        inadmissible: tuple[Stratum, ...] = ()
-    else:
-        universe = all_strata(ideal.n)
-        admitted = set(admissible)
-        inadmissible = tuple(s for s in universe if s not in admitted)
-    verdicts = tuple(classify_stratum(global_d, s) for s in admissible)
+    strata = enumerate_strata(ideal)
+    verdicts = tuple(classify_stratum(global_d, s) for s in strata)
 
     masks = {
         v.stratum.mask for v in verdicts if v.generation is GenerationClass.PRINCIPAL
     }
-    outside = (s.mask for s in universe if s.mask not in masks)
+    outside = (s.mask for s in strata if s.mask not in masks)
     openness = is_open(masks, outside, ideal.n)
 
     notes = []
@@ -380,9 +353,7 @@ def build_locus(ideal: MonomialIdeal, p: int, ambient: str = "vi") -> LocusRepor
     return LocusReport(
         ideal=ideal,
         p=p,
-        ambient=ambient,
         verdicts=verdicts,
-        inadmissible=inadmissible,
         openness=openness,
         notes=tuple(notes),
     )

@@ -11,6 +11,7 @@ from itertools import permutations, product
 
 import numpy as np
 
+from frobloc.locus import Stratum
 from frobloc.monomials import MonomialIdeal, PrimePower
 
 
@@ -250,6 +251,12 @@ def lift_witness(masks, i, witness):
             g_local = next(m for m in local if m & ~g == 0)
             h[g] = preimage(h_local[g_local] if g_local >> v & 1 else g_local)
     return v, h
+
+
+def all_strata(n):
+    """Every stratum among n variables, ordered by Z-mask: the whole
+    polynomial spectrum, an upward-closed universe that contains V(I)."""
+    return [Stratum(n, z) for z in range(1 << n)]
 
 
 def is_open(members, universe):

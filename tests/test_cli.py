@@ -146,21 +146,6 @@ class TestCommands:
         main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--json"])
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize(
-        "ideal",
-        ["x1*x2, x2*x3", "x1*x2*x3, x3*x4", "x1*x2*x3, x3*x4, x4*x5"],
-        ids=["chain3", "chain4", "chain5"],
-    )
-    def test_locus_strict_changes_only_the_mode_word(self, capsys, ideal):
-        def run(*flags):
-            assert main(["locus", ideal, "--p", "2", *flags]) == EXIT_OK
-            return capsys.readouterr().out
-
-        assert run("--strict", "--json") == run("--json")
-        strict, default = run("--strict"), run()
-        assert "mode=strict" in strict and "mode=default" in default
-        assert strict.replace("mode=strict", "mode=default") == default
-
     def test_uprime_text(self, capsys):
         assert main(["uprime", "x1*x2, x2*x3", "--p", "2"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -298,12 +283,6 @@ class TestCommands:
         # in class order: no stratum localizes to a later class
         assert bases == [ideal for ideal, _ in census(4).classes]
 
-    def test_locus_full_ambient(self, capsys):
-        assert main(["locus", "x1*x2*x3, x3*x4", "--p", "2", "--ambient", "full"]) == 0
-        out = capsys.readouterr().out
-        assert "openness of U: NotOpen" in out
-        assert "(outside V(I))" in out
-
     def test_locus_flags_published_discrepancy(self, capsys):
         assert main(["locus", "x1*x2*x3, x3*x4", "--p", "2"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -364,6 +343,22 @@ class TestExitCodes:
 
     def test_bad_e(self, capsys):
         assert main(["colon", "x1*x2", "--p", "2", "--e", "0"]) == EXIT_INVALID
+
+    def test_retired_flags_are_parse_errors(self, capsys):
+        # locus answers in Spec(R) = V(I) only, and says so in its header
+        for argv in (
+            ["locus", "x1*x2, x2*x3", "--p", "2", "--strict"],
+            ["locus", "x1*x2, x2*x3", "--p", "2", "--ambient", "full"],
+            ["enumerate", "--vars", "3", "--p", "2", "--strict"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_PARSE, argv
+            assert capsys.readouterr().out == ""
+        assert main(["locus", "x1*x2, x2*x3", "--p", "2"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "I = (x2*x3, x1*x2)   [n=3]  p=2  ambient=V(I)  mode=default"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -471,7 +466,7 @@ class TestExitCodes:
         "argv",
         [
             ["locus", "x1*x40", "--p", "2"],
-            ["locus", "x1*x40", "--p", "2", "--ambient", "full"],
+            ["locus", "x1*x40", "--p", "2", "--json"],
             ["uprime", "x1*x40", "--p", "2"],
         ],
     )
@@ -487,16 +482,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,tail",
         [
-            # one stratum meets V(I), but 2^18 strata make up Spec(R)
-            (
-                ["locus", ", ".join(f"x{i}" for i in range(1, 19)), "--ambient", "full"],
-                "lie in Spec(R); at most 131072 are classified\n",
-            ),
-            # 3 * 2^16 strata meet V(I); uprime lists those inside U' and
-            # classifies none
+            # 3 * 2^16 strata meet V(I); locus classifies them, uprime lists
+            # those inside U' and classifies none
+            (["locus", "x1*x18"], "meet V(I); at most 131072 are classified\n"),
             (["uprime", "x1*x18"], "meet V(I); at most 131072 are listed\n"),
         ],
-        ids=["locus-full-maximal18", "uprime-x1x18"],
+        ids=["locus-x1x18", "uprime-x1x18"],
     )
     def test_stratum_lists_are_a_fast_resource_limit(self, capsys, argv, tail):
         start = time.perf_counter()
@@ -506,13 +497,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: more than 131072 strata " + tail
 
-    @pytest.mark.parametrize("ambient", ["vi", "full"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_too_many_admissible_strata_is_a_fast_resource_limit(
-        self, capsys, ambient
+        self, capsys, flags
     ):
         # 24 variables pass the variable bound, but 3 * 2^22 strata meet V(I)
         start = time.perf_counter()
-        argv = ["locus", "x1*x24", "--p", "2", "--ambient", ambient]
+        argv = ["locus", "x1*x24", "--p", "2", *flags]
         assert main(argv) == EXIT_RESOURCE
         assert time.perf_counter() - start < 5.0
         captured = capsys.readouterr()
@@ -583,7 +574,7 @@ class TestProcessExits:
         "argv",
         [
             ["enumerate", "--vars", "5", "--p", "2"],
-            ["locus", _path(12), "--p", "2", "--ambient", "full"],
+            ["locus", _path(12), "--p", "2"],
         ],
     )
     def test_closed_pipe_exits_quietly(self, argv):
@@ -643,7 +634,7 @@ def test_no_command_imports_numpy_ma():
 class TestRepeatedMain:
     CALLS = [
         ["oracle", "x1*x2, x2*x3", "--p", "2", "--max-e", "3", "--json"],
-        ["locus", "x1*x2, x2*x3, x3*x4", "--p", "3", "--ambient", "full"],
+        ["locus", "x1*x2, x2*x3, x3*x4", "--p", "3"],
         ["classify", "x1*x2", "--p", "2"],
         ["oracle", "x1*x2, x2*x3", "--p", "2", "--bogus"],  # argparse: exit 2
         ["colon", "x1*x2, x2*x3", "--p", "2", "--e", "2"],

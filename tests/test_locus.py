@@ -13,7 +13,6 @@ from frobloc.locus import (
     MAX_STRATA_VARS,
     Openness,
     Stratum,
-    all_strata,
     build_locus,
     classify_stratum,
     enumerate_strata,
@@ -77,7 +76,7 @@ class TestStrata:
         }
 
     def test_unrestricted_count(self):
-        assert len(all_strata(3)) == 8
+        assert len(_brute.all_strata(3)) == 8
 
     def test_principal_restriction(self):
         ideal = MonomialIdeal([(1, 0, 0)])
@@ -86,7 +85,7 @@ class TestStrata:
         assert all(1 in s.in_prime for s in got)
 
     def test_order_is_bitmask(self, chain3):
-        assert [s.mask for s in all_strata(3)] == list(range(8))
+        assert [s.mask for s in _brute.all_strata(3)] == list(range(8))
         masks = [s.mask for s in enumerate_strata(chain3)]
         assert masks == sorted(masks)
 
@@ -97,22 +96,15 @@ class TestStrata:
         with pytest.raises(InadmissibleStratum, match=r"Z=\{1,2\} does not meet"):
             classify_stratum(d, Z(4, 1, 2))
 
-    @pytest.mark.parametrize("restrict", [True, False])
-    def test_too_many_variables_raise(self, restrict):
-        # the strata meeting V(I), or all of them
+    def test_too_many_variables_raise(self):
         n = MAX_STRATA_VARS + 1
         ideal = MonomialIdeal([(1,) + (0,) * (n - 1)])
         with pytest.raises(ResourceLimit):
-            enumerate_strata(ideal) if restrict else all_strata(n)
+            enumerate_strata(ideal)
 
     def test_too_many_strata_raise(self, chain3, monkeypatch):
-        # chain3 has 5 strata meeting V(I), 8 in all, and 1 inside D(x2)
+        # chain3 has 5 strata meeting V(I), and 1 inside D(x2)
         annihilator = compute_u_prime(decompose(chain3, 2))
-        monkeypatch.setattr(locus, "MAX_STRATA", 8)
-        assert len(all_strata(3)) == 8
-        monkeypatch.setattr(locus, "MAX_STRATA", 7)
-        with pytest.raises(ResourceLimit, match="more than 7 strata lie in Spec"):
-            all_strata(3)
         monkeypatch.setattr(locus, "MAX_STRATA", 5)
         assert len(enumerate_strata(chain3)) == 5
         assert len(u_prime_strata(chain3, annihilator)) == 1
@@ -191,18 +183,6 @@ class TestBuildLocus:
 
     def test_admissible_strata_bound(self, chain3, monkeypatch):
         # Z contains x2, or Z = {1, 3}: five strata meet V(I)
-        monkeypatch.setattr(locus, "MAX_STRATA", 5)
-        assert len(build_locus(chain3, 2).verdicts) == 5
-        monkeypatch.setattr(locus, "MAX_STRATA", 4)
-        with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
-            build_locus(chain3, 2)
-        # build_locus is bounded through the stratum list itself
-        with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
-            enumerate_strata(chain3)
-
-    def test_full_ambient_bound_trips_before_classifying(self, monkeypatch):
-        # the maximal ideal on 4 variables: one stratum meets V(I), 16 in all
-        ideal = MonomialIdeal([tuple(int(i == k) for i in range(4)) for k in range(4)])
         calls = []
         classify = locus.classify_stratum
 
@@ -211,25 +191,28 @@ class TestBuildLocus:
             return classify(*args)
 
         monkeypatch.setattr(locus, "classify_stratum", counting)
-        monkeypatch.setattr(locus, "MAX_STRATA", 15)
-        assert len(build_locus(ideal, 2).verdicts) == 1
-        assert len(calls) == 1
+        monkeypatch.setattr(locus, "MAX_STRATA", 5)
+        assert len(build_locus(chain3, 2).verdicts) == len(calls) == 5
         calls.clear()
-        with pytest.raises(ResourceLimit, match="more than 15 strata lie in Spec"):
-            build_locus(ideal, 2, ambient="full")
-        assert calls == []
+        monkeypatch.setattr(locus, "MAX_STRATA", 4)
+        with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
+            build_locus(chain3, 2)
+        assert calls == []  # the bound trips before any stratum is classified
+        # build_locus is bounded through the stratum list itself
+        with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
+            enumerate_strata(chain3)
 
-    def test_chain4_full_ambient_lift_not_open(self, chain4, squarefree_classes):
-        report = build_locus(chain4, 2, ambient="full")
-        assert report.openness is Openness.NOT_OPEN
-        assert len(report.inadmissible) == 5
-        # the locus is nonempty on every class, and never open in Spec(R)
+    def test_locus_never_open_in_full_spectrum(self, squarefree_classes):
+        # U is nonempty on every class, and its complement in the whole
+        # polynomial spectrum (the strata missing V(I) included) is never
+        # upward-closed: U is decided in V(I) only
         for p in (2, 3):
-            for n in range(1, 5):
+            for n in range(1, 6):
                 for ideal, _ in squarefree_classes(n):
-                    report = build_locus(ideal, p, ambient="full")
-                    assert _principal(report), ideal
-                    assert report.openness is Openness.NOT_OPEN, ideal
+                    u = {s.mask for s in _principal(build_locus(ideal, p))}
+                    assert u, ideal
+                    outside = [z for z in range(1 << n) if z not in u]
+                    assert is_open(u, outside, n) is Openness.NOT_OPEN, ideal
 
 
 def _open(members, universe):
@@ -247,17 +230,17 @@ class TestIsOpen:
     def test_lifted_u_not_open_in_full_spectrum(self, chain4):
         # the locus is a union of strata inside the proper closed set V(I)
         report = build_locus(chain4, 2)
-        universe = all_strata(4)
+        universe = _brute.all_strata(4)
         assert _open(_principal(report), universe) is Openness.NOT_OPEN
 
     def test_complement_of_closed_point_is_open(self):
-        universe = all_strata(3)
+        universe = _brute.all_strata(3)
         closed_point = [s for s in universe if len(s.in_prime) == 3]
         others = [s for s in universe if len(s.in_prime) < 3]
         assert _open(others, universe) is Openness.OPEN
 
     def test_brute_force_all_families_n3(self):
-        universe = all_strata(3)
+        universe = _brute.all_strata(3)
         keys = [tuple(sorted(s.in_prime)) for s in universe]
         for picks in range(1 << len(universe)):
             members = [s for k, s in enumerate(universe) if picks >> k & 1]
@@ -564,11 +547,9 @@ def test_build_locus_decomposes_once(monkeypatch, chain4):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(symbolic.ColonDecomposition, "__init__", counting_init)
-    for ambient in ("vi", "full"):
-        built.clear()
-        report = build_locus(chain4, 2, ambient=ambient)
-        assert len(report.verdicts) > 1
-        assert built == [chain4]
+    report = build_locus(chain4, 2)
+    assert len(report.verdicts) > 1
+    assert built == [chain4]
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +599,7 @@ def _is_upward_closed(strata):
 def test_strata_universes_are_upward_closed(squarefree_classes):
     # is_open and render_expression walk single-bit covers on this premise
     for n in range(1, 6):
-        assert _is_upward_closed(all_strata(n))
+        assert _is_upward_closed(_brute.all_strata(n))
         for ideal, _ in squarefree_classes(n):
             assert _is_upward_closed(enumerate_strata(ideal)), ideal
 
@@ -629,7 +610,7 @@ def stratum_families(draw):
     into members and the rest."""
     n = draw(st.integers(1, 5))
     if draw(st.booleans()):
-        universe = all_strata(n)
+        universe = _brute.all_strata(n)
     else:
         masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5))
         ideal = MonomialIdeal([[m >> i & 1 for i in range(n)] for m in masks], n)
@@ -651,7 +632,7 @@ def test_openness_and_display_match_reference(case):
 
 
 def test_pickle_round_trip(chain4):
-    report = build_locus(chain4, 2, ambient="full")
+    report = build_locus(chain4, 2)
     copy = pickle.loads(pickle.dumps(report))
     assert copy == report
     assert copy.expression_u == report.expression_u
@@ -660,7 +641,6 @@ def test_pickle_round_trip(chain4):
 def test_verdicts_hold_no_ideal(chain4):
     # a verdict is its stratum and its class; phi_W(I) is substituted from
     # the report's ideal when it is needed
-    for ambient in ("vi", "full"):
-        for v in build_locus(chain4, 2, ambient=ambient).verdicts:
-            assert [f.name for f in dataclasses.fields(v)] == ["stratum", "generation"]
-            assert not any(isinstance(x, MonomialIdeal) for x in vars(v).values())
+    for v in build_locus(chain4, 2).verdicts:
+        assert [f.name for f in dataclasses.fields(v)] == ["stratum", "generation"]
+        assert not any(isinstance(x, MonomialIdeal) for x in vars(v).values())

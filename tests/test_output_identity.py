@@ -62,8 +62,6 @@ CLASS_COMMANDS = {
     "uprime": ("uprime",),
     "colon": ("colon", "--e", "2"),
     "locus": ("locus",),
-    "locus-strict": ("locus", "--strict"),
-    "locus-full": ("locus", "--ambient", "full"),
     "oracle": ("oracle", "--max-e", "3"),
 }
 
@@ -85,7 +83,9 @@ ERROR_CASES = [
     (["locus", PATH4, "--p", "2"], {"FROBLOC_MAX_GENS": "2"}),
     (["classify", "x1*x2", "--p", "2"], {"FROBLOC_MAX_GENS": "abc"}),
     (["locus", "x1*x40", "--p", "2"], {}),
-    (["locus", "x1*x40", "--p", "2", "--ambient", "full"], {}),
+    (["locus", PATH4, "--p", "2", "--strict"], {}),
+    (["locus", PATH4, "--p", "2", "--ambient", "full"], {}),
+    (["enumerate", "--vars", "3", "--p", "2", "--strict"], {}),
     (["uprime", "x1*x40", "--p", "2"], {}),
     (["colon", "x1*x2, x2*x3", "--p", "2", "--e", "61"], {}),
     (["colon", "x1", "--p", "2", "--e", "61"], {}),
@@ -104,14 +104,10 @@ def _families():
     yield "graphs", lambda: (
         (argv, {}) for argv in _ideal_commands(_graphs(), (2, 5), graph_commands)
     )
-    mode_commands = [("locus", "--strict"), ("locus", "--ambient", "full")]
-    yield "graphs-modes", lambda: (
+    yield "graphs-check", lambda: (
         (argv, {})
-        for argv in itertools.chain(
-            _ideal_commands(_graphs(range(3, 11)), (2, 3), mode_commands),
-            _ideal_commands(
-                _graphs(range(3, 8)), (2, 3), [("locus", "--check")], json_flags=([],)
-            ),
+        for argv in _ideal_commands(
+            _graphs(range(3, 8)), (2, 3), [("locus", "--check")], json_flags=([],)
         )
     )
     yield "locus-check", lambda: (
@@ -140,14 +136,12 @@ EXPECTED = {
     "uprime": "3b1eecc298f27fbff0e0c986b0e69ea631cae5c9ba04f5845f86a8cbf7057f71",
     "colon": "ef8cb8085593f6e745073aa32884110613d1376383a288006b2fec175519f0c3",
     "locus": "09743dd786e777ff1dda18fd0d6bc0dd0d2a18b6f7fc09e3a634ee7491820973",
-    "locus-strict": "3439a609fe8d7341eff2d715344dbb8464125b03ab375dc9a5f61fbabf1116f5",
-    "locus-full": "9949aab5d2b6bd989b43593c50c3c0ca513fc3e47895e8b1eabe695b2d2e7351",
     "graphs": "692b78ff6fdc52bdc25c583cf3438156a504f021456b0f690f2410c30652cf3f",
-    "graphs-modes": "f77817e58c1a0e395b33ee4cabedc2e80d8bb446d3b7e7d147099e2b7f73dac8",
+    "graphs-check": "8b086892f1dc2edd7503a52c4dcceb7f3428d4c1bc52ec65e63a6cb799993319",
     "locus-check": "a373ce9c5500057955e67ed9a6a4f0ef30f1448d733b82f71487bbbc5fb63fe1",
     "enumerate": "ad525bcb13c85b0981f2ee750272f48b6f795da53d42c1cb22c67a6b8ed049a7",
     "enumerate-5": "64c51e64b4efadff00940682b71344b8abe241ae9d2e3b4ec3af927ddbb6aebf",
-    "errors": "39cd600a9a075200a1e7927a5ff4ead40af003b7f237f098425aa26aa0a0f315",
+    "errors": "43b26158a457161504eb44e990e70e75316ea55000ebbf7fa557ff6fe4d869f9",
     "oracle": "f38a51f193c19e050f6023d10e1e87a770ba0501c43068a7d666f1fd916c1223",
 }
 

@@ -27,9 +27,9 @@ UNREACHED = {
 }
 
 CHAIN3 = "x1*x2, x2*x3"
-# (argv, stdin, exit code): text, --json, --check, --ambient full, stdin and
-# a parse error; uprime runs on an infinite and a principal ideal, since
-# only one of them instantiates J and only the other is the unit ideal
+# (argv, stdin, exit code): text, --json, --check, stdin and a parse error;
+# uprime runs on an infinite and a principal ideal, since only one of them
+# instantiates J and only the other is the unit ideal
 COMMANDS = [
     (["colon", CHAIN3, "--p", "2", "--e", "2"], None, EXIT_OK),
     (["decompose", CHAIN3, "--p", "2"], None, EXIT_OK),
@@ -39,7 +39,6 @@ COMMANDS = [
     (["uprime", "x1*x2", "--p", "2", "--json"], None, EXIT_OK),
     (["locus", CHAIN3, "--p", "2"], None, EXIT_OK),
     (["locus", CHAIN3, "--p", "2", "--check", "--json"], None, EXIT_OK),
-    (["locus", "x1*x2, x2*x3, x3*x4", "--p", "2", "--ambient", "full"], None, EXIT_OK),
     (["oracle", "-", "--p", "2"], CHAIN3, EXIT_OK),
     (["enumerate", "--vars", "3", "--p", "2", "--check"], None, EXIT_OK),
     (["classify", "x1*y2", "--p", "2"], None, EXIT_PARSE),
