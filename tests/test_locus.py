@@ -202,6 +202,28 @@ class TestBuildLocus:
         with pytest.raises(ResourceLimit, match="more than 4 strata meet V"):
             enumerate_strata(chain3)
 
+    def test_full_ambient_bound_trips_before_classifying(self, monkeypatch):
+        # the maximal ideal on 4 variables: one stratum meets V(I), 16 in all;
+        # the 15 strata of the full spectrum outside V(I) are never listed,
+        # so they count against no bound
+        ideal = MonomialIdeal([tuple(int(i == k) for i in range(4)) for k in range(4)])
+        calls = []
+        classify = locus.classify_stratum
+
+        def counting(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(locus, "classify_stratum", counting)
+        monkeypatch.setattr(locus, "MAX_STRATA", 1)
+        assert len(build_locus(ideal, 2).verdicts) == 1
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(locus, "MAX_STRATA", 0)
+        with pytest.raises(ResourceLimit, match="more than 0 strata meet V"):
+            build_locus(ideal, 2)
+        assert calls == []
+
     def test_locus_never_open_in_full_spectrum(self, squarefree_classes):
         # U is nonempty on every class, and its complement in the whole
         # polynomial spectrum (the strata missing V(I) included) is never
