@@ -24,8 +24,6 @@ from .symbolic import (
 from .locus import (
     LocusReport,
     Openness,
-    Stratum,
-    StratumVerdict,
     build_locus,
     classify_stratum,
     enumerate_strata,
@@ -51,8 +49,6 @@ __all__ = [
     "PrimePower",
     "ResourceLimit",
     "SquareFreeViolation",
-    "Stratum",
-    "StratumVerdict",
     "SymbolicIdeal",
     "build_locus",
     "classify_stratum",

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import DegenerateIdeal, FroblocError, ResourceLimit
 from .locus import (
     LocusReport,
+    _indexes,
+    _inverted,
+    _render_z,
     build_locus,
     render_u_prime,
     u_prime_strata,
@@ -236,7 +239,7 @@ def _cmd_uprime(args) -> int:
             f"I = {ideal.render()}   [n={ideal.n}]  p={args.p}\n"
             f"annihilator of (I^[p] + J_p)/I^[p]: {annihilator.render()}\n"
             f"guaranteed finitely generated on U' = {render_u_prime(annihilator)}\n"
-            f"strata inside U': {', '.join(s.render() for s in strata) or '(none)'}"
+            f"strata inside U': {', '.join(map(_render_z, strata)) or '(none)'}"
         )
 
     _emit(args, payload, text)
@@ -249,11 +252,11 @@ def _locus_text(report: LocusReport) -> str:
         "ambient=V(I)  mode=default",
         "stratum table:",
     ]
-    width = max(len(v.stratum.render()) for v in report.verdicts)
-    for v in report.verdicts:
+    labels = [_render_z(z) for z, _ in report.verdicts]
+    width = max(map(len, labels))
+    for label, (_, generation) in zip(labels, report.verdicts):
         lines.append(
-            f"  {v.stratum.render():<{width}}  {v.generation.label:<22}"
-            f"{_CERTIFICATE[v.generation]}"
+            f"  {label:<{width}}  {generation.label:<22}{_CERTIFICATE[generation]}"
         )
     lines.append(f"U   = {report.expression_u}")
     lines.append(f"U^c = {report.expression_complement}")
@@ -272,20 +275,20 @@ def _cmd_locus(args) -> int:
         "generators": ideal.generators(),
         "strata": [
             {
-                "in_prime": sorted(v.stratum.in_prime),
-                "class": v.generation.value,
-                "certificate": _CERTIFICATE[v.generation],
+                "in_prime": _indexes(z),
+                "class": generation.value,
+                "certificate": _CERTIFICATE[generation],
             }
-            for v in report.verdicts
+            for z, generation in report.verdicts
         ],
         "openness": report.openness.value,
     }
     _emit(args, payload, lambda: _locus_text(report))
     if args.check:
-        for v, needs_new in _disagreements(report, args.max_e, {}):
+        for (z, generation), needs_new in _disagreements(report, args.max_e, {}):
             print(
-                f"disagreement on {v.stratum.render()}: classifier says "
-                f"{v.generation.label}, oracle profile {needs_new}",
+                f"disagreement on {_render_z(z)}: classifier says "
+                f"{generation.label}, oracle profile {needs_new}",
                 file=sys.stderr,
             )
             return EXIT_DISAGREEMENT
@@ -350,14 +353,14 @@ def _disagreements(
     share their substituted ideals up to both.  Only the principal/infinite
     verdict is compared: every infinite verdict carries the
     ComplementPattern certificate."""
-    for verdict in report.verdicts:
-        key = _oracle_key(substitute(report.ideal, verdict.stratum.inverted))
+    for z, generation in report.verdicts:
+        key = _oracle_key(substitute(report.ideal, _inverted(z, report.ideal.n)))
         if key not in memo:
             profile = classify_up_to(key, report.p, max_e)
             memo[key] = profile.finitely_generated_consistent, profile.needs_new
         consistent, needs_new = memo[key]
-        if (verdict.generation is GenerationClass.PRINCIPAL) != consistent:
-            yield verdict, needs_new
+        if (generation is GenerationClass.PRINCIPAL) != consistent:
+            yield (z, generation), needs_new
 
 
 def _cmd_oracle(args) -> int:

@@ -11,14 +11,15 @@ its openness is a purely combinatorial question: a union of strata is
 closed iff its index family is upward-closed under Z-inclusion.  One
 classifier, ``classify_stratum``, decides each stratum from the ideal's one
 global decomposition: its J rows are substituted at W and J_Z = 0 iff none
-of them is residual; the verdict is the stratum and its class.
+of them is residual.  A stratum is its Z-mask (below), and ``build_locus``
+pairs each mask with its class.
 One list gives the strata, ``enumerate_strata(I)`` (those meeting V(I)),
 bounded by MAX_STRATA.  It is upward-closed, so openness (``is_open``, the
 census's too) and the display walk single-bit covers z | 1 << i.
 
-A variable subset is an int throughout: bit i-1 is set iff x_i belongs to
-it.  Z-inclusion a <= b is then ``a & ~b == 0``, and a stratum meets V(I)
-iff every generator's support mask intersects Z.
+A variable subset, a stratum's Z included, is an int throughout: bit i-1 is
+set iff x_i belongs to it.  Z-inclusion a <= b is then ``a & ~b == 0``, and
+a stratum meets V(I) iff every generator's support mask intersects Z.
 
 Openness theorem (of this stratum model): U is open and dense in V(I) for
 every square-free monomial ideal I.  Let phi_i set x_i = 1.  If phi_i(I) is
@@ -82,30 +83,14 @@ def _support_masks(ideal: MonomialIdeal) -> list[int]:
     return [exponents_to_mask(g) for g in ideal.generators()]
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """All primes containing exactly the variables x_i with bit i-1 of mask
-    set (the index set Z)."""
+def _inverted(z: int, n: int) -> tuple[int, ...]:
+    """W: the variables turned into units on the stratum z, ascending."""
+    return _indexes(~z & ((1 << n) - 1))
 
-    n: int
-    mask: int
 
-    def __post_init__(self):
-        if not 0 <= self.mask < 1 << self.n:
-            raise ValueError(f"stratum mask {self.mask} out of range for n={self.n}")
-
-    @property
-    def in_prime(self) -> frozenset[int]:
-        """Z: the variables every prime of this stratum contains."""
-        return frozenset(_indexes(self.mask))
-
-    @property
-    def inverted(self) -> tuple[int, ...]:
-        """W: the variables turned into units on this stratum, ascending."""
-        return _indexes(~self.mask & ((1 << self.n) - 1))
-
-    def render(self) -> str:
-        return "Z={" + ",".join(map(str, _indexes(self.mask))) + "}"
+def _render_z(z: int) -> str:
+    """The stratum z as printed, Z={i,j,..}."""
+    return "Z={" + ",".join(map(str, _indexes(z))) + "}"
 
 
 class Openness(enum.Enum):
@@ -115,12 +100,6 @@ class Openness(enum.Enum):
     @property
     def label(self) -> str:
         return "Open" if self is Openness.OPEN else "NotOpen"
-
-
-@dataclass(frozen=True)
-class StratumVerdict:
-    stratum: Stratum
-    generation: GenerationClass
 
 
 # the strata are enumerated one by one, 2^n of them; the scan alone takes
@@ -143,7 +122,7 @@ def _check_strata_vars(n: int) -> None:
         )
 
 
-def _meeting(ideal: MonomialIdeal, done: str) -> list[Stratum]:
+def _meeting(ideal: MonomialIdeal, done: str) -> list[int]:
     """The strata meeting V(I) by an ascending mask scan, which stops after
     MAX_STRATA + 1 of them and then raises ResourceLimit rather than list
     them all; the message says what is ``done`` with at most MAX_STRATA."""
@@ -156,19 +135,17 @@ def _meeting(ideal: MonomialIdeal, done: str) -> list[Stratum]:
             f"more than {MAX_STRATA} strata meet V(I); at most {MAX_STRATA} "
             f"are {done}"
         )
-    return [Stratum(ideal.n, z) for z in masks]
+    return masks
 
 
-def enumerate_strata(ideal: MonomialIdeal) -> list[Stratum]:
-    """The strata meeting V(I), ordered by Z-mask; ResourceLimit beyond
+def enumerate_strata(ideal: MonomialIdeal) -> list[int]:
+    """The Z-masks of the strata meeting V(I), ascending; ResourceLimit beyond
     MAX_STRATA_VARS variables or MAX_STRATA strata."""
     return _meeting(ideal, "classified")
 
 
-def classify_stratum(
-    decomposition: ColonDecomposition, stratum: Stratum
-) -> StratumVerdict:
-    """Classify the algebra on one stratum from the ideal's decomposition.
+def classify_stratum(decomposition: ColonDecomposition, z: int) -> GenerationClass:
+    """Classify the algebra on the stratum z from the ideal's decomposition.
 
     Localization commutes with the colon: substituting W in the rank ideal
     of (I^[q]:I) gives that of (phi_W(I)^[q] : phi_W(I)), whose J is zero
@@ -184,19 +161,21 @@ def classify_stratum(
     Z.  As beta_Z <= beta zeroed on W, r stays outside the localized
     I^[q] + ((x^beta)^(q-1)) too.
 
-    Raises ValueError for a stratum of another ambient, and
-    InadmissibleStratum when it misses V(I), i.e. phi_W(I) is the unit.
+    Raises ValueError for a mask outside 0 <= z < 2^n, and
+    InadmissibleStratum when the stratum misses V(I), i.e. phi_W(I) is the
+    unit.
     """
-    if stratum.n != decomposition.base.n:
-        raise ValueError("stratum and ideal live in different ambients")
-    inverted = stratum.inverted
+    n = decomposition.base.n
+    if not 0 <= z < 1 << n:
+        raise ValueError(f"stratum mask {z} out of range for n={n}")
+    inverted = _inverted(z, n)
     sub = substitute(decomposition.base, inverted)
     if sub.is_unit():
-        raise InadmissibleStratum(f"{stratum.render()} does not meet V(I)")
+        raise InadmissibleStratum(f"{_render_z(z)} does not meet V(I)")
     j = substitute(decomposition.j_part.ranks, inverted)
     if len(_residual_rows(sub, j.gens, compute_beta(sub))):
-        return StratumVerdict(stratum, GenerationClass.INFINITE)
-    return StratumVerdict(stratum, GenerationClass.PRINCIPAL)
+        return GenerationClass.INFINITE
+    return GenerationClass.PRINCIPAL
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +212,8 @@ def is_open(u: Container[int], outside: Iterable[int], n: int) -> Openness:
     return Openness.OPEN
 
 
-def render_expression(members: Iterable[Stratum], n: int) -> str:
-    """Canonical D/V display of a union of strata in n variables.
+def render_expression(masks: Iterable[int], n: int) -> str:
+    """Canonical D/V display of a union of strata (Z-masks) in n variables.
 
     Minimal members whose whole up-set (inside the ambient) belongs to the
     family contribute their closure V(x_j : j in Z); every other member is
@@ -246,10 +225,9 @@ def render_expression(members: Iterable[Stratum], n: int) -> str:
     member is minimal iff no co-cover z & ~(1 << i) lies in the family's
     upward closure.
     """
-    members = set(members)
-    if not members:
+    masks = set(masks)
+    if not masks:
         return "(empty)"
-    masks = {s.mask for s in members}
     above = _upward_closure(masks, n)
     closed: set[int] = set()  # members whose whole up-set is in the family
     for z in sorted(masks, key=int.bit_count, reverse=True):
@@ -257,28 +235,27 @@ def render_expression(members: Iterable[Stratum], n: int) -> str:
             closed.add(z)
     consumed: set[int] = set()
     pieces = []
-    for s in sorted(members, key=lambda s: (s.mask.bit_count(), s.mask)):
-        z = s.mask
+    for z in sorted(masks, key=lambda z: (z.bit_count(), z)):
         if z in consumed:
             continue
         minimal = not any(z & ~(1 << i) in above for i in range(n) if z >> i & 1)
         if minimal and z in closed:
-            pieces.append(_render_v(s))
+            pieces.append(_render_v(z))
             consumed |= _upward_closure((z,), n)
         else:
-            pieces.append(_render_stratum(s))
+            pieces.append(_render_stratum(z, n))
             consumed.add(z)
     return " ∪ ".join(pieces)
 
 
-def _render_v(stratum: Stratum) -> str:
-    names = ",".join(f"x{i}" for i in _indexes(stratum.mask))
+def _render_v(z: int) -> str:
+    names = ",".join(f"x{i}" for i in _indexes(z))
     return f"V(({names}))"
 
 
-def _render_stratum(stratum: Stratum) -> str:
-    v = _render_v(stratum) if stratum.mask else None
-    w = stratum.inverted
+def _render_stratum(z: int, n: int) -> str:
+    v = _render_v(z) if z else None
+    w = _inverted(z, n)
     d = "D(" + "*".join(f"x{i}" for i in w) + ")" if w else None
     if v and d:
         return f"({v} ∩ {d})"
@@ -291,21 +268,22 @@ def _render_stratum(stratum: Stratum) -> str:
 
 @dataclass(frozen=True)
 class LocusReport:
-    """The stratum verdicts of an ideal and the openness of U.  The D/V
-    displays of U and U^c are rendered from the verdicts when first read."""
+    """The stratum verdicts of an ideal, each a (Z-mask, class) pair in mask
+    order, and the openness of U.  The D/V displays of U and U^c are
+    rendered from the verdicts when first read."""
 
     ideal: MonomialIdeal
     p: int
-    verdicts: tuple[StratumVerdict, ...]
+    verdicts: tuple[tuple[int, GenerationClass], ...]
     openness: Openness
     notes: tuple[str, ...]
 
     def _display(self, principal: bool) -> str:
         """The D/V display of the strata whose verdict is (not) principal."""
         chosen = [
-            v.stratum
-            for v in self.verdicts
-            if (v.generation is GenerationClass.PRINCIPAL) is principal
+            z
+            for z, generation in self.verdicts
+            if (generation is GenerationClass.PRINCIPAL) is principal
         ]
         return render_expression(chosen, self.ideal.n)
 
@@ -337,13 +315,10 @@ def build_locus(ideal: MonomialIdeal, p: int) -> LocusReport:
     """
     global_d = decompose(ideal, p)
     strata = enumerate_strata(ideal)
-    verdicts = tuple(classify_stratum(global_d, s) for s in strata)
+    verdicts = tuple((z, classify_stratum(global_d, z)) for z in strata)
 
-    masks = {
-        v.stratum.mask for v in verdicts if v.generation is GenerationClass.PRINCIPAL
-    }
-    outside = (s.mask for s in strata if s.mask not in masks)
-    openness = is_open(masks, outside, ideal.n)
+    u = {z for z, generation in verdicts if generation is GenerationClass.PRINCIPAL}
+    openness = is_open(u, (z for z in strata if z not in u), ideal.n)
 
     notes = []
     key = (ideal.n, ideal.generators())
@@ -361,8 +336,9 @@ def build_locus(ideal: MonomialIdeal, p: int) -> LocusReport:
 
 def u_prime_strata(
     ideal: MonomialIdeal, annihilator: MonomialIdeal
-) -> tuple[Stratum, ...]:
-    """Admissible strata inside Spec(S) \\ V(A) for a monomial annihilator A.
+) -> tuple[int, ...]:
+    """The Z-masks of the admissible strata inside Spec(S) \\ V(A) for a
+    monomial annihilator A.
 
     A prime avoids V(A) iff some generator of A misses all its variables,
     which is a per-stratum condition.  Bounded as ``enumerate_strata`` is,
@@ -370,18 +346,15 @@ def u_prime_strata(
     """
     support = _support_masks(annihilator)
     return tuple(
-        s
-        for s in _meeting(ideal, "listed")
-        if any(a & s.mask == 0 for a in support)
+        z for z in _meeting(ideal, "listed") if any(a & z == 0 for a in support)
     )
 
 
 def render_u_prime(annihilator: MonomialIdeal) -> str:
-    """Spec(S) \\ V(A) as a union of basic opens, restricted to V(I)."""
+    """Spec(S) \\ V(A) as a union of basic opens, restricted to V(I).  A is
+    never zero: J = 0 makes it the unit, and otherwise it contains I^[p]."""
     if annihilator.is_unit():
         return "V(I)"
-    if annihilator.is_zero():
-        return "(empty)"
     opens = " ∪ ".join(
         f"D({format_monomial(g)})" for g in annihilator.generators()
     )

@@ -166,7 +166,7 @@ class MonomialIdeal:
     all-zero vector.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("n", "gens", "_hash")
+    __slots__ = ("n", "gens")
 
     def __init__(self, gens: Iterable[Exponents], n: "int | None" = None):
         matrix = as_matrix(gens, n)
@@ -176,7 +176,6 @@ class MonomialIdeal:
         gens.setflags(write=False)
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_hash", hash((n, gens.tobytes())))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("MonomialIdeal is immutable")
@@ -230,7 +229,7 @@ class MonomialIdeal:
         return self.n == other.n and np.array_equal(self.gens, other.gens)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.gens.tobytes()))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({list(self.generators())}, n={self.n})"

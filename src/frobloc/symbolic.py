@@ -134,8 +134,8 @@ def compute_beta(ideal: MonomialIdeal) -> tuple[int, ...]:
     return tuple(int(v) for v in (ideal.gens > 0).any(axis=0))
 
 
-def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
-    """(I^[q] : I) as one symbolic ideal valid for every q = p^e.
+def colon_symbolic(ideal: MonomialIdeal) -> SymbolicIdeal:
+    """(I^[q] : I) as one symbolic ideal valid for every prime power q = p^e.
 
     It is the concrete colon at q = 2, read as ranks.  The colon is the
     intersection over generators g of (I^[q] : x^g), generated by
@@ -143,11 +143,10 @@ def colon_symbolic(ideal: MonomialIdeal, p: int) -> SymbolicIdeal:
     elsewhere, so every exponent lies in {0, q-1, q}.  The chain
     0 < q-1 < q is order-isomorphic to 0 < 1 < 2 for every q >= 2, and lcm
     and minimalization only compare exponents, so each step of the
-    computation at q = 2 is the rank image of the same step at any q.
-    p itself plays no arithmetic role.
+    computation at q = 2 is the rank image of the same step at any q,
+    whatever the characteristic p.
     """
     validate_square_free(ideal)
-    require_prime(p)
     return SymbolicIdeal(ideal.frobenius_power(_Q2).colon(ideal))
 
 
@@ -195,7 +194,9 @@ def decompose(ideal: MonomialIdeal, p: int) -> ColonDecomposition:
     of the rest, those divisible by (x^beta)^(q-1) belong to the socle part;
     whatever remains is J.  Divisibility is the uniform (all q >= 2) one.
     """
-    rows = colon_symbolic(ideal, p).ranks.gens
+    validate_square_free(ideal)
+    require_prime(p)
+    rows = colon_symbolic(ideal).ranks.gens
     beta = compute_beta(ideal)
     in_image = ideal.frobenius_power(_Q2).contains_each(rows)
     # a subset of a canonical antichain is canonical

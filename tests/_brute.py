@@ -11,7 +11,6 @@ from itertools import permutations, product
 
 import numpy as np
 
-from frobloc.locus import Stratum
 from frobloc.monomials import MonomialIdeal, PrimePower
 
 
@@ -137,9 +136,14 @@ def oracle_profile(ideal, p, max_e):
 
 
 # ---------------------------------------------------------------------------
-# stratum-level references: frozensets of variable indexes and concrete
-# exponents at q = p, read from the library's objects through their public
-# fields only
+# stratum-level references: each Z-mask turned into the frozenset of its
+# variable indexes, and concrete exponents at q = p, read from the library's
+# objects through their public fields only
+
+
+def in_prime(z):
+    """The variable indexes i (1-based) of the Z-mask z: bit i-1 set."""
+    return frozenset(i for i in range(1, z.bit_length() + 1) if z >> (i - 1) & 1)
 
 
 def at(rank, q):
@@ -147,21 +151,21 @@ def at(rank, q):
     return (0, q - 1, q)[rank]
 
 
-def complement_pattern_witness(global_d, stratum, sub):
+def complement_pattern_witness(global_d, z, sub):
     """The concrete certificate search at q = p: an original J generator
     whose image on the stratum shows the exponents 0, p-1 and p among the
     variables of Z and lies outside the localized I^[p] + ((x^beta)^(p-1)).
     Returns that image, or None."""
     p = global_d.p
-    z = stratum.in_prime
-    w = frozenset(range(1, stratum.n + 1)) - z
+    z_set = in_prime(z)
+    w = frozenset(range(1, global_d.base.n + 1)) - z_set
     socle = tuple(
         0 if i in w else b * (p - 1) for i, b in enumerate(global_d.beta, 1)
     )
     localized_sum = [tuple(p * c for c in g) for g in sub.generators()] + [socle]
     for row in global_d.j_part.rank_rows():
         image = tuple(0 if i in w else at(r, p) for i, r in enumerate(row, 1))
-        if {image[i - 1] for i in z} >= {0, p - 1, p} and not contains(
+        if {image[i - 1] for i in z_set} >= {0, p - 1, p} and not contains(
             localized_sum, image
         ):
             return image
@@ -254,52 +258,49 @@ def lift_witness(masks, i, witness):
 
 
 def all_strata(n):
-    """Every stratum among n variables, ordered by Z-mask: the whole
+    """The Z-mask of every stratum among n variables, ascending: the whole
     polynomial spectrum, an upward-closed universe that contains V(I)."""
-    return [Stratum(n, z) for z in range(1 << n)]
+    return list(range(1 << n))
 
 
 def is_open(members, universe):
-    """Openness ("open" or "not_open") of a union of strata by frozenset
-    inclusion: open iff the complement is upward-closed."""
+    """Openness ("open" or "not_open") of a union of strata (Z-masks) by
+    frozenset inclusion: open iff the complement is upward-closed."""
+    sets = {z: in_prime(z) for z in universe}
     complement = set(universe) - set(members)
-    closure = {
-        z for z in universe if any(m.in_prime <= z.in_prime for m in complement)
-    }
+    closure = {z for z in universe if any(sets[m] <= sets[z] for m in complement)}
     return "open" if complement == closure else "not_open"
 
 
-def render_expression(members, universe):
-    """D/V display of a union of strata by frozenset inclusion: a minimal
-    member whose whole up-set lies in the family is written V(...), every
-    other member as V(...) ∩ D(...)."""
+def render_expression(members, universe, n):
+    """D/V display of a union of strata (Z-masks) in n variables by frozenset
+    inclusion: a minimal member whose whole up-set lies in the family is
+    written V(...), every other member as V(...) ∩ D(...)."""
     members = set(members)
     if not members:
         return "(empty)"
+    sets = {z: in_prime(z) for z in universe}
 
-    def v(s):
-        return "V((" + ",".join(f"x{i}" for i in sorted(s.in_prime)) + "))"
+    def v(z):
+        return "V((" + ",".join(f"x{i}" for i in sorted(sets[z])) + "))"
 
     consumed = set()
     pieces = []
-    def bitmask(s):
-        return sum(1 << (i - 1) for i in s.in_prime)
-
-    for z in sorted(members, key=lambda s: (len(s.in_prime), bitmask(s))):
+    for z in sorted(members, key=lambda z: (len(sets[z]), z)):
         if z in consumed:
             continue
-        minimal = not any(m.in_prime < z.in_prime for m in members)
-        up = {s for s in universe if z.in_prime <= s.in_prime}
+        minimal = not any(sets[m] < sets[z] for m in members)
+        up = {s for s in universe if sets[z] <= sets[s]}
         if minimal and up <= members:
             pieces.append(v(z))
             consumed |= up
             continue
-        w = sorted(frozenset(range(1, z.n + 1)) - z.in_prime)
+        w = sorted(frozenset(range(1, n + 1)) - sets[z])
         d = "D(" + "*".join(f"x{i}" for i in w) + ")" if w else None
-        if z.in_prime and d:
+        if sets[z] and d:
             pieces.append(f"({v(z)} ∩ {d})")
         else:
-            pieces.append(v(z) if z.in_prime else d or "Spec")
+            pieces.append(v(z) if sets[z] else d or "Spec")
         consumed.add(z)
     return " ∪ ".join(pieces)
 

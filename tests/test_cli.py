@@ -28,7 +28,7 @@ from frobloc.cli import (
 )
 from frobloc.enumeration import census
 from frobloc.errors import AmbientMismatch, InadmissibleStratum
-from frobloc.locus import build_locus
+from frobloc.locus import _inverted, build_locus
 from frobloc.monomials import MonomialIdeal, substitute
 from frobloc.oracle import GenerationProfile, classify_up_to
 from frobloc.symbolic import GenerationClass, compute_u_prime, decompose
@@ -199,7 +199,7 @@ class TestCommands:
         # oracle key, each a relabelling of its ideals on their support
         ideal = parse_ideal(path8)
         report = build_locus(ideal, 2)
-        local = {substitute(ideal, v.stratum.inverted) for v in report.verdicts}
+        local = {substitute(ideal, _inverted(z, 8)) for z, _ in report.verdicts}
         assert len(report.verdicts) == 55 and len(local) == 32
         assert len(bases) == len(set(bases)) == 10
         assert all(_support(base) == base.n for base in bases)
@@ -414,9 +414,9 @@ class TestExitCodes:
         argv = ["enumerate", "--vars", "3", "--p", "2", "--check", "--json"]
         assert main(argv) == EXIT_DISAGREEMENT
         principal = sum(
-            v.generation is GenerationClass.PRINCIPAL
+            generation is GenerationClass.PRINCIPAL
             for ideal, _ in census(3).classes
-            for v in build_locus(ideal, 2).verdicts
+            for _, generation in build_locus(ideal, 2).verdicts
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["disagreements"] == principal > 1

@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from itertools import combinations
 
@@ -12,7 +11,7 @@ from frobloc.errors import InadmissibleStratum, ResourceLimit
 from frobloc.locus import (
     MAX_STRATA_VARS,
     Openness,
-    Stratum,
+    _inverted,
     build_locus,
     classify_stratum,
     enumerate_strata,
@@ -33,21 +32,18 @@ from frobloc.symbolic import (
 
 
 def _principal(report):
-    """The strata of a locus report whose verdict is principal: U."""
-    return tuple(
-        v.stratum for v in report.verdicts if v.generation is GenerationClass.PRINCIPAL
-    )
+    """The Z-masks of a locus report whose verdict is principal: U."""
+    return tuple(z for z, g in report.verdicts if g is GenerationClass.PRINCIPAL)
 
 
 def _infinite(report):
-    """The strata of a locus report whose verdict is infinite."""
-    return tuple(
-        v.stratum for v in report.verdicts if v.generation is GenerationClass.INFINITE
-    )
+    """The Z-masks of a locus report whose verdict is infinite."""
+    return tuple(z for z, g in report.verdicts if g is GenerationClass.INFINITE)
 
 
-def Z(n, *vars_):
-    return Stratum(n, sum(1 << (i - 1) for i in vars_))
+def Z(*vars_):
+    """The Z-mask of the stratum whose primes contain exactly these variables."""
+    return sum(1 << (i - 1) for i in vars_)
 
 
 class TestSubstitute:
@@ -70,10 +66,8 @@ class TestSubstitute:
 
 class TestStrata:
     def test_restricted_chain3(self, chain3):
-        got = {s.in_prime for s in enumerate_strata(chain3)}
-        assert got == {
-            frozenset(z) for z in [{2}, {1, 2}, {2, 3}, {1, 3}, {1, 2, 3}]
-        }
+        got = set(enumerate_strata(chain3))
+        assert got == {Z(2), Z(1, 2), Z(2, 3), Z(1, 3), Z(1, 2, 3)}
 
     def test_unrestricted_count(self):
         assert len(_brute.all_strata(3)) == 8
@@ -82,19 +76,19 @@ class TestStrata:
         ideal = MonomialIdeal([(1, 0, 0)])
         got = enumerate_strata(ideal)
         assert len(got) == 4
-        assert all(1 in s.in_prime for s in got)
+        assert all(z & Z(1) for z in got)
 
     def test_order_is_bitmask(self, chain3):
-        assert [s.mask for s in _brute.all_strata(3)] == list(range(8))
-        masks = [s.mask for s in enumerate_strata(chain3)]
+        masks = enumerate_strata(chain3)
         assert masks == sorted(masks)
 
     def test_admissibility(self, chain4):
         d = decompose(chain4, 2)
-        assert classify_stratum(d, Z(4, 3)).stratum in enumerate_strata(chain4)
-        assert Z(4, 1, 2) not in enumerate_strata(chain4)
+        assert Z(3) in enumerate_strata(chain4)
+        assert classify_stratum(d, Z(3)) is GenerationClass.PRINCIPAL
+        assert Z(1, 2) not in enumerate_strata(chain4)
         with pytest.raises(InadmissibleStratum, match=r"Z=\{1,2\} does not meet"):
-            classify_stratum(d, Z(4, 1, 2))
+            classify_stratum(d, Z(1, 2))
 
     def test_too_many_variables_raise(self):
         n = MAX_STRATA_VARS + 1
@@ -119,46 +113,46 @@ class TestStrata:
 
 class TestClassifyStratum:
     def test_chain3_closed_point(self, chain3):
-        v = classify_stratum(decompose(chain3, 2), Z(3, 1, 2, 3))
-        assert v.generation is GenerationClass.INFINITE
+        g = classify_stratum(decompose(chain3, 2), Z(1, 2, 3))
+        assert g is GenerationClass.INFINITE
 
     def test_chain3_middle_variable(self, chain3):
-        v = classify_stratum(decompose(chain3, 2), Z(3, 2))
-        assert v.generation is GenerationClass.PRINCIPAL
+        g = classify_stratum(decompose(chain3, 2), Z(2))
+        assert g is GenerationClass.PRINCIPAL
 
     def test_chain4_oracle_confirmed(self, chain4):
-        stratum = Z(4, 1, 3, 4)
-        v = classify_stratum(decompose(chain4, 2), stratum)
-        assert v.generation is GenerationClass.INFINITE
+        z = Z(1, 3, 4)
+        assert classify_stratum(decompose(chain4, 2), z) is GenerationClass.INFINITE
         # the substituted ideal is the 3-variable chain pattern again
-        sub = substitute(chain4, stratum.inverted)
+        sub = substitute(chain4, _inverted(z, 4))
         assert sub == MonomialIdeal([(1, 0, 1, 0), (0, 0, 1, 1)], 4)
         profile = classify_up_to(sub, 2, 3)
         assert profile.needs_new == (True, True, True)
 
     def test_inadmissible_raises(self, chain3):
         with pytest.raises(InadmissibleStratum):
-            classify_stratum(decompose(chain3, 2), Z(3, 1))
+            classify_stratum(decompose(chain3, 2), Z(1))
 
-    def test_other_ambient_raises(self, chain3):
-        with pytest.raises(ValueError, match="different ambients"):
-            classify_stratum(decompose(chain3, 2), Z(4, 2))
+    def test_mask_out_of_range_raises(self, chain3):
+        # a mask carries no ambient: one naming x4, or a negative one, is
+        # rejected on a 3-variable ideal
+        d = decompose(chain3, 2)
+        for z in (-1, Z(4), Z(2, 4)):
+            with pytest.raises(ValueError, match=f"mask {z} out of range for n=3"):
+                classify_stratum(d, z)
 
     def test_verdict_matches_localized_j(self, chain4):
         d = decompose(chain4, 2)
-        for s in enumerate_strata(chain4):
-            v = classify_stratum(d, s)
-            principal = v.generation is GenerationClass.PRINCIPAL
-            sub = substitute(chain4, s.inverted)
+        for z in enumerate_strata(chain4):
+            principal = classify_stratum(d, z) is GenerationClass.PRINCIPAL
+            sub = substitute(chain4, _inverted(z, 4))
             assert principal == decompose(sub, 2).j_part.is_zero()
 
 
 class TestBuildLocus:
     def test_chain3_report(self, chain3):
         report = build_locus(chain3, 2)
-        assert {s.in_prime for s in _infinite(report)} == {
-            frozenset({1, 2, 3})
-        }
+        assert _infinite(report) == (Z(1, 2, 3),)
         assert len(_principal(report)) == 4
         assert report.openness is Openness.OPEN
         assert report.expression_complement == "V((x1,x2,x3))"
@@ -172,11 +166,7 @@ class TestBuildLocus:
 
     def test_chain4_derived_table(self, chain4):
         report = build_locus(chain4, 2)
-        assert {s.in_prime for s in _infinite(report)} == {
-            frozenset({1, 3, 4}),
-            frozenset({2, 3, 4}),
-            frozenset({1, 2, 3, 4}),
-        }
+        assert _infinite(report) == (Z(1, 3, 4), Z(2, 3, 4), Z(1, 2, 3, 4))
         assert report.openness is Openness.OPEN
         assert report.expression_complement == "V((x1,x3,x4)) ∪ V((x2,x3,x4))"
         assert any("D(x1*x3*x4)" in note for note in report.notes)
@@ -231,56 +221,54 @@ class TestBuildLocus:
         for p in (2, 3):
             for n in range(1, 6):
                 for ideal, _ in squarefree_classes(n):
-                    u = {s.mask for s in _principal(build_locus(ideal, p))}
+                    u = set(_principal(build_locus(ideal, p)))
                     assert u, ideal
                     outside = [z for z in range(1 << n) if z not in u]
                     assert is_open(u, outside, n) is Openness.NOT_OPEN, ideal
 
 
-def _open(members, universe):
-    """``is_open`` on the masks of a family of strata and of the rest of
-    its universe."""
-    u = {s.mask for s in members}
-    return is_open(u, [s.mask for s in universe if s.mask not in u], universe[0].n)
+def _open(members, universe, n):
+    """``is_open`` on a family of Z-masks and the rest of its universe."""
+    u = set(members)
+    return is_open(u, [z for z in universe if z not in u], n)
 
 
 class TestIsOpen:
     def test_whole_space(self, chain3):
         universe = enumerate_strata(chain3)
-        assert _open(universe, universe) is Openness.OPEN
+        assert _open(universe, universe, 3) is Openness.OPEN
 
     def test_lifted_u_not_open_in_full_spectrum(self, chain4):
         # the locus is a union of strata inside the proper closed set V(I)
         report = build_locus(chain4, 2)
         universe = _brute.all_strata(4)
-        assert _open(_principal(report), universe) is Openness.NOT_OPEN
+        assert _open(_principal(report), universe, 4) is Openness.NOT_OPEN
 
     def test_complement_of_closed_point_is_open(self):
         universe = _brute.all_strata(3)
-        closed_point = [s for s in universe if len(s.in_prime) == 3]
-        others = [s for s in universe if len(s.in_prime) < 3]
-        assert _open(others, universe) is Openness.OPEN
+        others = [z for z in universe if len(_brute.in_prime(z)) < 3]
+        assert _open(others, universe, 3) is Openness.OPEN
 
     def test_brute_force_all_families_n3(self):
         universe = _brute.all_strata(3)
-        keys = [tuple(sorted(s.in_prime)) for s in universe]
+        keys = [tuple(sorted(_brute.in_prime(z))) for z in universe]
         for picks in range(1 << len(universe)):
-            members = [s for k, s in enumerate(universe) if picks >> k & 1]
-            member_keys = {tuple(sorted(s.in_prime)) for s in members}
+            members = [z for k, z in enumerate(universe) if picks >> k & 1]
+            member_keys = {tuple(sorted(_brute.in_prime(z))) for z in members}
             complement = [k for k in keys if k not in member_keys]
             closed = set(complement) == _brute.upward_closure(complement, keys)
             expected = Openness.OPEN if closed else Openness.NOT_OPEN
-            assert _open(members, universe) is expected
+            assert _open(members, universe, 3) is expected
 
 
 class TestRenderExpression:
     def test_upward_closed_collapses_to_closure(self, chain4):
         universe = enumerate_strata(chain4)
-        family = [s for s in universe if s.in_prime >= {3, 4}]
+        family = [z for z in universe if z & Z(3, 4) == Z(3, 4)]
         assert render_expression(family, 4) == "V((x3,x4))"
 
     def test_single_stratum(self):
-        assert render_expression([Z(3, 2)], 3) == "(V((x2)) ∩ D(x1*x3))"
+        assert render_expression([Z(2)], 3) == "(V((x2)) ∩ D(x1*x3))"
 
     def test_empty(self):
         assert render_expression([], 3) == "(empty)"
@@ -290,16 +278,14 @@ class TestUPrimeRegion:
     def test_chain3_u_prime(self, chain3):
         annihilator = compute_u_prime(decompose(chain3, 2))
         assert render_u_prime(annihilator) == "D(x2) ∩ V(I)"
-        strata = u_prime_strata(chain3, annihilator)
-        assert {s.in_prime for s in strata} == {frozenset({1, 3})}
+        assert u_prime_strata(chain3, annihilator) == (Z(1, 3),)
 
     def test_u_prime_soundness(self, chain3):
         # every stratum inside D(x2) ∩ V(I) must classify principal
         d = decompose(chain3, 2)
         annihilator = compute_u_prime(d)
-        for s in u_prime_strata(chain3, annihilator):
-            v = classify_stratum(d, s)
-            assert v.generation is GenerationClass.PRINCIPAL
+        for z in u_prime_strata(chain3, annihilator):
+            assert classify_stratum(d, z) is GenerationClass.PRINCIPAL
 
     def test_u_prime_strictly_inside_u(self, chain3):
         annihilator = compute_u_prime(decompose(chain3, 2))
@@ -307,7 +293,21 @@ class TestUPrimeRegion:
         report = build_locus(chain3, 2)
         u = set(_principal(report))
         assert u_prime < u
-        assert Z(3, 2) in u and Z(3, 2) not in u_prime
+        assert Z(2) in u and Z(2) not in u_prime
+
+    def test_annihilator_is_never_zero(self, squarefree_classes):
+        # render_u_prime has no empty case: J = 0 gives the unit ideal, and
+        # otherwise A = (I^[p] : J_p) contains I^[p], which is nonzero
+        cases = 0
+        for p in (2, 3):
+            for n in range(1, 6):
+                for ideal, _ in squarefree_classes(n):
+                    gens = compute_u_prime(decompose(ideal, p)).generators()
+                    assert gens, (ideal, p)
+                    power = ideal.frobenius_power(PrimePower(p, 1)).generators()
+                    assert all(_brute.contains(gens, g) for g in power), (ideal, p)
+                    cases += 1
+        assert cases == 496
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,7 @@ def test_full_support_stratum_matches_global(squarefree_classes):
                 1 << i for i in range(n) if any(g[i] for g in ideal.generators())
             )
             d = decompose(ideal, 2)
-            v = classify_stratum(d, Stratum(n, support))
-            assert v.generation is d.generation_class
+            assert classify_stratum(d, support) is d.generation_class
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -343,11 +342,10 @@ def test_substitute_colon_commutation(p, e, chain3, chain4, chain5):
 def test_infinite_family_upward_closed(chain3, chain4):
     for ideal in (chain3, chain4):
         report = build_locus(ideal, 2)
-        family = {s.in_prime for s in _infinite(report)}
-        admissible = {s.in_prime for s in enumerate_strata(ideal)}
+        family = set(_infinite(report))
         for z in family:
-            for z2 in admissible:
-                if z <= z2:
+            for z2 in enumerate_strata(ideal):
+                if z & ~z2 == 0:
                     assert z2 in family
 
 
@@ -355,10 +353,9 @@ def test_oracle_agreement_all_strata_n3(squarefree_classes):
     for n in (1, 2, 3):
         for ideal, _ in squarefree_classes(n):
             d = decompose(ideal, 2)
-            for s in enumerate_strata(ideal):
-                v = classify_stratum(d, s)
-                profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
-                principal = v.generation is GenerationClass.PRINCIPAL
+            for z in enumerate_strata(ideal):
+                profile = classify_up_to(substitute(ideal, _inverted(z, n)), 2, 3)
+                principal = classify_stratum(d, z) is GenerationClass.PRINCIPAL
                 assert principal == profile.finitely_generated_consistent
 
 
@@ -366,18 +363,16 @@ def test_oracle_agreement_extended(squarefree_classes):
     # beyond the acceptance scope: four variables, and characteristic three
     for ideal, _ in squarefree_classes(4):
         d = decompose(ideal, 2)
-        for s in enumerate_strata(ideal):
-            v = classify_stratum(d, s)
-            profile = classify_up_to(substitute(ideal, s.inverted), 2, 3)
-            principal = v.generation is GenerationClass.PRINCIPAL
+        for z in enumerate_strata(ideal):
+            profile = classify_up_to(substitute(ideal, _inverted(z, 4)), 2, 3)
+            principal = classify_stratum(d, z) is GenerationClass.PRINCIPAL
             assert principal == profile.finitely_generated_consistent
     for n in (2, 3):
         for ideal, _ in squarefree_classes(n):
             d = decompose(ideal, 3)
-            for s in enumerate_strata(ideal):
-                v = classify_stratum(d, s)
-                profile = classify_up_to(substitute(ideal, s.inverted), 3, 3)
-                principal = v.generation is GenerationClass.PRINCIPAL
+            for z in enumerate_strata(ideal):
+                profile = classify_up_to(substitute(ideal, _inverted(z, n)), 3, 3)
+                principal = classify_stratum(d, z) is GenerationClass.PRINCIPAL
                 assert principal == profile.finitely_generated_consistent
 
 
@@ -385,25 +380,25 @@ def test_oracle_agreement_extended(squarefree_classes):
 # localizing the global colon against the definitional per-stratum colon
 
 
-def _stratum_agrees(global_colon, global_d, verdict, local_colon, reference):
-    """The facts a stratum's verdict rests on, against the definitional
-    ``reference`` = decompose(phi_W(I)): the substituted global colon is
-    ``local_colon``, the colon of phi_W(I) (both computed by
-    colon_symbolic); the residual rows of the substituted global J are
-    exactly the rows of the reference's J; and the verdict's class is the
-    reference's."""
-    inverted = verdict.stratum.inverted
+def _stratum_agrees(global_colon, global_d, z, generation, local_colon, reference):
+    """The facts the verdict ``generation`` on the stratum z rests on,
+    against the definitional ``reference`` = decompose(phi_W(I)): the
+    substituted global colon is ``local_colon``, the colon of phi_W(I) (both
+    computed by colon_symbolic); the residual rows of the substituted global
+    J are exactly the rows of the reference's J; and the verdict's class is
+    the reference's."""
+    inverted = _inverted(z, global_d.base.n)
     sub = substitute(global_d.base, inverted)
     assert reference.base == sub
     assert substitute(global_colon.ranks, inverted) == local_colon.ranks
     j = substitute(global_d.j_part.ranks, inverted)
     rows = symbolic._residual_rows(sub, j.gens, compute_beta(sub))
     assert rows.tolist() == reference.j_part.ranks.gens.tolist()
-    assert verdict.generation is reference.generation_class
+    assert generation is reference.generation_class
 
 
 def _definitional(sub, p):
-    return colon_symbolic(sub, p), decompose(sub, p)
+    return colon_symbolic(sub), decompose(sub, p)
 
 
 def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_classes):
@@ -412,13 +407,13 @@ def test_localize_matches_definitional_on_every_enumerated_stratum(squarefree_cl
         for n in range(1, max_n + 1):
             for ideal, _ in squarefree_classes(n):
                 report = build_locus(ideal, p)
-                colon = colon_symbolic(ideal, p)
+                colon = colon_symbolic(ideal)
                 global_d = decompose(ideal, p)
-                for v in report.verdicts:
-                    sub = substitute(ideal, v.stratum.inverted)
+                for z, generation in report.verdicts:
+                    sub = substitute(ideal, _inverted(z, n))
                     if (sub, p) not in reference:
                         reference[sub, p] = _definitional(sub, p)
-                    _stratum_agrees(colon, global_d, v, *reference[sub, p])
+                    _stratum_agrees(colon, global_d, z, generation, *reference[sub, p])
 
 
 def test_colon_free_criterion_matches_build_locus_n5(squarefree_classes):
@@ -427,11 +422,11 @@ def test_colon_free_criterion_matches_build_locus_n5(squarefree_classes):
     strata = 0
     for n in range(1, 6):
         for ideal, _ in squarefree_classes(n):
-            for v in build_locus(ideal, 2).verdicts:
-                masks = _brute.generator_masks(ideal, v.stratum.mask)
-                infinite = v.generation is GenerationClass.INFINITE
+            for z, generation in build_locus(ideal, 2).verdicts:
+                masks = _brute.generator_masks(ideal, z)
+                infinite = generation is GenerationClass.INFINITE
                 witness = _brute.j_nonzero(masks)
-                assert (witness is not None) == infinite, (ideal, v.stratum)
+                assert (witness is not None) == infinite, (ideal, z)
                 assert witness is None or _brute.is_witness(masks, *witness)
                 strata += 1
     assert strata == 3591
@@ -460,10 +455,10 @@ def test_openness_theorem_on_the_census(squarefree_classes):
             assert report.openness is Openness.OPEN, ideal
             assert "D(" not in report.expression_complement, ideal
             pieces += "D(" in report.expression_u
-            masks = [v.stratum.mask for v in report.verdicts]
-            for v, z in zip(report.verdicts, masks):
+            masks = [z for z, _ in report.verdicts]
+            for z, generation in report.verdicts:
                 if not any(m != z and m & ~z == 0 for m in masks):  # minimal
-                    assert v.generation is GenerationClass.PRINCIPAL, (ideal, z)
+                    assert generation is GenerationClass.PRINCIPAL, (ideal, z)
     # 1111 proper phi_i(I), 373 of them infinite; U has a D( piece on 165
     # of the 248 classes
     assert (proper, steps, pieces) == (1111, 373, 165)
@@ -517,12 +512,11 @@ def test_build_locus_matches_definitional_on_paths_and_cycles(kind):
         report = build_locus(ideal, 2)
         global_d = decompose(ideal, 2)
         assert report.verdicts == tuple(
-            classify_stratum(global_d, s) for s in enumerate_strata(ideal)
+            (z, classify_stratum(global_d, z)) for z in enumerate_strata(ideal)
         )
-        assert [v.stratum for v in report.verdicts] == enumerate_strata(ideal)
-        for v in report.verdicts:
-            sub = substitute(ideal, v.stratum.inverted)
-            principal = v.generation is GenerationClass.PRINCIPAL
+        for z, generation in report.verdicts:
+            sub = substitute(ideal, _inverted(z, n))
+            principal = generation is GenerationClass.PRINCIPAL
             assert principal == decompose(sub, 2).j_part.is_zero()
 
 
@@ -535,29 +529,29 @@ def ideal_and_stratum(draw, grow=True):
     for g in ideal.generators() if grow else ():  # until the stratum meets V(I)
         if not any(g[i] and z >> i & 1 for i in range(n)):
             z |= 1 << g.index(1)
-    return ideal, Stratum(n, z)
+    return ideal, z
 
 
 @given(ideal_and_stratum(grow=False), st.sampled_from([2, 3]))
 @settings(max_examples=150, deadline=None)
 def test_classify_raises_exactly_off_the_listed_strata(case, p):
-    ideal, stratum = case
+    ideal, z = case
     d = decompose(ideal, p)
-    if stratum in enumerate_strata(ideal):
-        assert classify_stratum(d, stratum).stratum == stratum
+    if z in enumerate_strata(ideal):
+        assert isinstance(classify_stratum(d, z), GenerationClass)
     else:
         with pytest.raises(InadmissibleStratum):
-            classify_stratum(d, stratum)
+            classify_stratum(d, z)
 
 
 @given(ideal_and_stratum(), st.sampled_from([2, 3, 5]))
 @settings(max_examples=80, deadline=None)
 def test_localize_matches_definitional_random(case, p):
-    ideal, stratum = case
+    ideal, z = case
     global_d = decompose(ideal, p)
-    reference = _definitional(substitute(ideal, stratum.inverted), p)
-    verdict = classify_stratum(global_d, stratum)
-    _stratum_agrees(colon_symbolic(ideal, p), global_d, verdict, *reference)
+    reference = _definitional(substitute(ideal, _inverted(z, ideal.n)), p)
+    generation = classify_stratum(global_d, z)
+    _stratum_agrees(colon_symbolic(ideal), global_d, z, generation, *reference)
 
 
 def test_build_locus_decomposes_once(monkeypatch, chain4):
@@ -579,15 +573,16 @@ def test_build_locus_decomposes_once(monkeypatch, chain4):
 # references
 
 
-def _witnessed(global_d, verdict):
+def _witnessed(global_d, z, generation):
     """The concrete reference search finds a ComplementPattern witness for
-    an infinite verdict.  Returns whether the verdict is infinite.  The
-    converse does not hold: principal strata may have a witness too."""
-    if verdict.generation is GenerationClass.PRINCIPAL:
+    an infinite verdict on the stratum z.  Returns whether the verdict is
+    infinite.  The converse does not hold: principal strata may have a
+    witness too."""
+    if generation is GenerationClass.PRINCIPAL:
         return False
-    sub = substitute(global_d.base, verdict.stratum.inverted)
-    witness = _brute.complement_pattern_witness(global_d, verdict.stratum, sub)
-    assert witness is not None, (global_d.base, verdict.stratum, global_d.p)
+    sub = substitute(global_d.base, _inverted(z, global_d.base.n))
+    witness = _brute.complement_pattern_witness(global_d, z, sub)
+    assert witness is not None, (global_d.base, z, global_d.p)
     return True
 
 
@@ -600,30 +595,30 @@ def test_complement_pattern_matches_reference_on_every_enumerated_stratum(
         for ideal, _ in squarefree_classes(n):
             report = build_locus(ideal, p)
             d = decompose(ideal, p)
-            for v in report.verdicts:
-                infinite += _witnessed(d, v)
+            for z, generation in report.verdicts:
+                infinite += _witnessed(d, z, generation)
     assert infinite > 0
 
 
 @given(ideal_and_stratum(), st.sampled_from([2, 3, 5]))
 @settings(max_examples=80, deadline=None)
 def test_complement_pattern_matches_reference_random(case, p):
-    ideal, stratum = case
+    ideal, z = case
     global_d = decompose(ideal, p)
-    _witnessed(global_d, classify_stratum(global_d, stratum))
+    _witnessed(global_d, z, classify_stratum(global_d, z))
 
 
-def _is_upward_closed(strata):
-    masks = {s.mask for s in strata}
-    return all(z | 1 << i in masks for z in masks for i in range(strata[0].n))
+def _is_upward_closed(strata, n):
+    masks = set(strata)
+    return all(z | 1 << i in masks for z in masks for i in range(n))
 
 
 def test_strata_universes_are_upward_closed(squarefree_classes):
     # is_open and render_expression walk single-bit covers on this premise
     for n in range(1, 6):
-        assert _is_upward_closed(_brute.all_strata(n))
+        assert _is_upward_closed(_brute.all_strata(n), n)
         for ideal, _ in squarefree_classes(n):
-            assert _is_upward_closed(enumerate_strata(ideal)), ideal
+            assert _is_upward_closed(enumerate_strata(ideal), n), ideal
 
 
 @st.composite
@@ -639,18 +634,18 @@ def stratum_families(draw):
         universe = enumerate_strata(ideal)
     size = len(universe)
     roles = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    members = [s for s, r in zip(universe, roles) if r]
-    return universe, members, [s for s, r in zip(universe, roles) if not r]
+    members = [z for z, r in zip(universe, roles) if r]
+    return n, universe, members, [z for z, r in zip(universe, roles) if not r]
 
 
 @given(stratum_families())
 @settings(max_examples=300, deadline=None)
 def test_openness_and_display_match_reference(case):
-    universe, members, rest = case
-    assert _open(members, universe).value == _brute.is_open(members, universe)
+    n, universe, members, rest = case
+    assert _open(members, universe, n).value == _brute.is_open(members, universe)
     for family in (members, rest):
-        expected = _brute.render_expression(family, universe)
-        assert render_expression(family, universe[0].n) == expected
+        expected = _brute.render_expression(family, universe, n)
+        assert render_expression(family, n) == expected
 
 
 def test_pickle_round_trip(chain4):
@@ -661,8 +656,8 @@ def test_pickle_round_trip(chain4):
 
 
 def test_verdicts_hold_no_ideal(chain4):
-    # a verdict is its stratum and its class; phi_W(I) is substituted from
-    # the report's ideal when it is needed
+    # a verdict is its stratum's Z-mask and its class; phi_W(I) is
+    # substituted from the report's ideal when it is needed
     for v in build_locus(chain4, 2).verdicts:
-        assert [f.name for f in dataclasses.fields(v)] == ["stratum", "generation"]
-        assert not any(isinstance(x, MonomialIdeal) for x in vars(v).values())
+        assert type(v) is tuple and len(v) == 2
+        assert type(v[0]) is int and isinstance(v[1], GenerationClass)

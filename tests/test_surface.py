@@ -4,6 +4,7 @@ One command per subcommand and output mode runs under ``sys.setprofile``.
 The functions and methods defined in ``src/frobloc`` that none of them
 calls must be exactly ``UNREACHED``, so library surface that only tests
 call shows up here as a new name, and stays only if it is listed on purpose.
+Every name in ``frobloc.__all__`` is bound by a star import.
 """
 
 import contextlib
@@ -95,3 +96,10 @@ def test_every_function_but_the_listed_is_reached(monkeypatch):
         assert code == expected, (argv, out.getvalue())
     unreached = {name for code, name in defined.items() if code not in reached}
     assert unreached == UNREACHED
+
+
+def test_star_import_binds_every_name_in_all():
+    # a name left in __all__ after its definition is gone fails the import
+    namespace: dict = {}
+    exec("from frobloc import *", namespace)
+    assert set(frobloc.__all__) <= namespace.keys()

@@ -104,28 +104,26 @@ class TestSymbolicIdeal:
 
 class TestColonSymbolic:
     def test_principal_one_variable(self):
-        assert colon_symbolic(MonomialIdeal([(1,)]), 2) == sym_ideal([[QM1]], 1)
+        assert colon_symbolic(MonomialIdeal([(1,)])) == sym_ideal([[QM1]], 1)
 
     def test_two_variables(self):
         # pattern confirmed by the concrete colon at q = 2 and q = 4 below
         ideal = MonomialIdeal([(1, 0), (0, 1)])
-        sym = colon_symbolic(ideal, 2)
+        sym = colon_symbolic(ideal)
         assert sym == sym_ideal([[Q, Z], [QM1, QM1], [Z, Q]], 2)
         for e in (1, 2):
             concrete = ideal.frobenius_power(PrimePower(2, e)).colon(ideal)
             assert sym.instantiate(2**e) == concrete
 
     def test_chain3_minimal_generators(self, chain3):
-        sym = colon_symbolic(chain3, 2)
+        sym = colon_symbolic(chain3)
         assert sym == sym_ideal(
             [[Q, QM1, Z], [Z, QM1, Q], [QM1, QM1, QM1]], 3
         )
 
     def test_rejects_non_square_free(self):
         with pytest.raises(SquareFreeViolation):
-            colon_symbolic(MonomialIdeal([(2, 1)]), 2)
-        with pytest.raises(ValueError):
-            colon_symbolic(MonomialIdeal([(1, 1)]), 6)
+            colon_symbolic(MonomialIdeal([(2, 1)]))
 
 
 class TestDecompose:
@@ -149,13 +147,20 @@ class TestDecompose:
         )
         assert d.beta == (1, 1, 1, 1, 1)
 
+    def test_rejects_non_prime(self):
+        with pytest.raises(ValueError, match="p=6 is not prime"):
+            decompose(MonomialIdeal([(1, 1)]), 6)
+        # the square-free check comes first
+        with pytest.raises(SquareFreeViolation):
+            decompose(MonomialIdeal([(2, 1)]), 6)
+
     def test_parts_partition_colon(self, squarefree_classes):
         # the image rows, the J rows and the socle row beta are the colon's
         for n in range(1, 5):
             for ideal, _ in squarefree_classes(n):
                 d = decompose(ideal, 2)
                 parts = d.frobenius_part.rank_rows() + d.j_part.rank_rows()
-                rows = colon_symbolic(ideal, 2).rank_rows()
+                rows = colon_symbolic(ideal).rank_rows()
                 assert sorted(parts + [list(d.beta)]) == sorted(rows), ideal
 
     def test_generator_order(self):
@@ -263,7 +268,7 @@ def _fixtures():
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_e_stability(p, e):
     for ideal in _fixtures():
-        sym = colon_symbolic(ideal, p)
+        sym = colon_symbolic(ideal)
         concrete = ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
         assert sym.instantiate(p**e) == concrete
 
@@ -278,7 +283,7 @@ def test_decomposition_completeness(p, e):
 
 def test_symbolic_exponents_stay_in_triple_set():
     for ideal in _fixtures():
-        for row in colon_symbolic(ideal, 2).rank_rows():
+        for row in colon_symbolic(ideal).rank_rows():
             assert set(row) <= {Z, QM1, Q}
 
 
@@ -314,8 +319,8 @@ def test_e_stability_sweep_all_small_ideals(squarefree_classes):
     # beyond the named fixtures: every canonical square-free ideal, n <= 5
     for n in (1, 2, 3, 4, 5):
         for ideal, _ in squarefree_classes(n):
+            sym = colon_symbolic(ideal)
             for p in (2, 3, 5):
-                sym = colon_symbolic(ideal, p)
                 for e in (1, 2):
                     concrete = ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
                     assert sym.instantiate(p**e) == concrete, (ideal.render(), p, e)
@@ -339,7 +344,7 @@ def ideal_and_inverted(draw):
 @settings(max_examples=60, deadline=None)
 def test_rank_encoding_random(case, p):
     ideal, inverted = case
-    sym = colon_symbolic(ideal, p)
+    sym = colon_symbolic(ideal)
     for e in (1, 2):
         concrete = ideal.frobenius_power(PrimePower(p, e)).colon(ideal)
         assert sym.instantiate(p**e) == concrete
