@@ -13,9 +13,11 @@ classifier, ``classify_stratum``, decides each stratum from the ideal's one
 global decomposition: its J rows are substituted at W and J_Z = 0 iff none
 of them is residual.  A stratum is its Z-mask (below), and ``build_locus``
 pairs each mask with its class.
-One list gives the strata, ``enumerate_strata(I)`` (those meeting V(I)),
-bounded by MAX_STRATA.  It is upward-closed, so openness (``is_open``, the
-census's too) and the display walk single-bit covers z | 1 << i.
+One list gives the strata, ``enumerate_strata(I)``: those meeting V(I), the
+hitting sets of the generator supports, found without visiting the other
+masks and bounded by MAX_STRATA alone, at any number of variables.  It is
+upward-closed, so openness (``is_open``, the census's too) and the display
+walk single-bit covers z | 1 << i.
 
 A variable subset, a stratum's Z included, is an int throughout: bit i-1 is
 set iff x_i belongs to it.  Z-inclusion a <= b is then ``a & ~b == 0``, and
@@ -102,35 +104,53 @@ class Openness(enum.Enum):
         return "Open" if self is Openness.OPEN else "NotOpen"
 
 
-# the strata are enumerated one by one, 2^n of them; the scan alone takes
-# seconds at n = 22 and grows about 4x per two variables
-MAX_STRATA_VARS = 24
-
-
-# a stratum list holds at most this many strata: build_locus keeps a verdict
-# per admissible stratum, and x1*x16 (49152 strata) takes over 20 s and
-# ~100 MiB on a 2-core host; path and cycle ideals on up to 24 variables
-# (121393 and 103682 strata) stay below the bound
+# a stratum list holds at most this many strata, at any number of variables:
+# build_locus keeps a verdict per stratum of V(I), and x1*x16 (49152 strata)
+# takes over 20 s and ~100 MiB on a 2-core host; path and cycle ideals on up
+# to 24 variables (121393 and 103682 strata) stay below the bound
 MAX_STRATA = 1 << 17
 
 
-def _check_strata_vars(n: int) -> None:
-    if n > MAX_STRATA_VARS:
-        raise ResourceLimit(
-            f"{n} variables give 2^{n} strata; at most {MAX_STRATA_VARS} "
-            "variables are supported"
-        )
-
-
 def _meeting(ideal: MonomialIdeal, done: str) -> list[int]:
-    """The strata meeting V(I) by an ascending mask scan, which stops after
-    MAX_STRATA + 1 of them and then raises ResourceLimit rather than list
-    them all; the message says what is ``done`` with at most MAX_STRATA."""
-    _check_strata_vars(ideal.n)
+    """The strata meeting V(I), ascending: the hitting sets of the generator
+    supports, listed in at most n + 1 steps per stratum.
+
+    A walk chooses the bits x_n down to x_1, clear before set, and keeps
+    the supports not yet hit as bits of an int.  Clearing x_i is a dead end
+    when x_i is the lowest variable of such a support, and once every
+    support is hit, each choice of the bits left is a stratum.  The walk
+    stops after MAX_STRATA + 1 strata and raises ResourceLimit rather than
+    list them all, the message saying what is ``done`` with at most
+    MAX_STRATA.  A proper ideal's strata stay strata when variables outside
+    its support join them, so with k such variables there are at least 2^k,
+    and ResourceLimit is raised at once when 2^k > MAX_STRATA, i.e. when
+    k >= MAX_STRATA.bit_length().  The unit ideal has no strata and the
+    zero ideal all 2^n.
+    """
+    n = ideal.n
     support = _support_masks(ideal)
-    masks = (z for z in range(1 << ideal.n) if all(g & z for g in support))
-    masks = list(islice(masks, MAX_STRATA + 1))
-    if len(masks) > MAX_STRATA:
+    containing, lowest = [0] * n, [0] * n  # per variable, bits of supports
+    for k, g in enumerate(support):
+        indexes = _indexes(g)
+        for i in indexes:
+            containing[i - 1] |= 1 << k
+        if indexes:
+            lowest[indexes[0] - 1] |= 1 << k
+    unit = ideal.is_unit()
+    too_many = not unit and containing.count(0) >= MAX_STRATA.bit_length()
+    masks: list[int] = []
+    # (bits left, bits chosen, supports not hit): each entry leads to a stratum
+    stack = [] if unit or too_many else [(n, 0, (1 << len(support)) - 1)]
+    while stack and len(masks) <= MAX_STRATA:
+        b, z, unhit = stack.pop()
+        if not unhit:
+            masks += islice(range(z, z + (1 << b)), MAX_STRATA + 1 - len(masks))
+            continue
+        b -= 1
+        stack.append((b, z | 1 << b, unhit & ~containing[b]))
+        if not unhit & lowest[b]:
+            stack.append((b, z, unhit))
+    if too_many or len(masks) > MAX_STRATA:
         raise ResourceLimit(
             f"more than {MAX_STRATA} strata meet V(I); at most {MAX_STRATA} "
             f"are {done}"
@@ -140,7 +160,7 @@ def _meeting(ideal: MonomialIdeal, done: str) -> list[int]:
 
 def enumerate_strata(ideal: MonomialIdeal) -> list[int]:
     """The Z-masks of the strata meeting V(I), ascending; ResourceLimit beyond
-    MAX_STRATA_VARS variables or MAX_STRATA strata."""
+    MAX_STRATA strata, however many variables the ideal has."""
     return _meeting(ideal, "classified")
 
 

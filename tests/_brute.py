@@ -263,6 +263,14 @@ def all_strata(n):
     return list(range(1 << n))
 
 
+def meeting_strata(ideal):
+    """The Z-mask of every stratum meeting V(I), ascending, by the
+    definitional scan of all 2^n: Z meets V(I) iff it meets the support of
+    every generator."""
+    support = [sum(1 << i for i, c in enumerate(g) if c) for g in ideal.generators()]
+    return [z for z in range(1 << ideal.n) if all(g & z for g in support)]
+
+
 def is_open(members, universe):
     """Openness ("open" or "not_open") of a union of strata (Z-masks) by
     frozenset inclusion: open iff the complement is upward-closed."""

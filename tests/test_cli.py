@@ -501,11 +501,35 @@ class TestExitCodes:
     def test_too_many_admissible_strata_is_a_fast_resource_limit(
         self, capsys, flags
     ):
-        # 24 variables pass the variable bound, but 3 * 2^22 strata meet V(I)
+        # x2..x23 lie outside the support, so at least 2^22 strata meet V(I)
+        # (3 * 2^22 in all): the bound trips before any stratum is listed
         start = time.perf_counter()
         argv = ["locus", "x1*x24", "--p", "2", *flags]
         assert main(argv) == EXIT_RESOURCE
         assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: more than 131072 strata meet V(I); at most 131072 are "
+            "classified\n"
+        )
+
+    def test_one_stratum_past_24_variables(self, capsys):
+        # V(I) of the maximal ideal on 30 variables is its one closed point
+        ideal = ", ".join(f"x{i}" for i in range(1, 31))
+        assert main(["locus", ideal, "--p", "2", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [s["in_prime"] for s in payload["strata"]] == [list(range(1, 31))]
+        assert payload["openness"] == "open"
+        assert main(["uprime", ideal, "--p", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        z = ",".join(map(str, range(1, 31)))
+        assert out.endswith(f"strata inside U': Z={{{z}}}\n")
+
+    def test_unused_variables_trip_the_stratum_bound(self, capsys):
+        # x2..x100000 lie outside the support: at least 2^99999 strata
+        argv = ["locus", "x1", "--vars", "100000", "--p", "2"]
+        assert main(argv) == EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (

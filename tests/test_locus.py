@@ -2,14 +2,13 @@ import pickle
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
 from frobloc import locus, symbolic
 from frobloc.errors import InadmissibleStratum, ResourceLimit
 from frobloc.locus import (
-    MAX_STRATA_VARS,
     Openness,
     _inverted,
     build_locus,
@@ -91,9 +90,16 @@ class TestStrata:
             classify_stratum(d, Z(1, 2))
 
     def test_too_many_variables_raise(self):
-        n = MAX_STRATA_VARS + 1
+        n = 25
         ideal = MonomialIdeal([(1,) + (0,) * (n - 1)])
         with pytest.raises(ResourceLimit):
+            enumerate_strata(ideal)
+
+    def test_one_long_generator_is_listed_without_recursion(self):
+        # 2^5000 - 1 strata meet V(x1*..*x5000); the walk over its 5000 bits
+        # keeps its own stack and stops at the bound
+        ideal = MonomialIdeal([(1,) * 5000])
+        with pytest.raises(ResourceLimit, match="more than 131072 strata meet V"):
             enumerate_strata(ideal)
 
     def test_too_many_strata_raise(self, chain3, monkeypatch):
@@ -606,6 +612,47 @@ def test_complement_pattern_matches_reference_random(case, p):
     ideal, z = case
     global_d = decompose(ideal, p)
     _witnessed(global_d, z, classify_stratum(global_d, z))
+
+
+@st.composite
+def listing_cases(draw):
+    """An ideal and an annihilator on n <= 12 variables, whose generators
+    may leave variables unused, be single variables, or make the unit or
+    the zero ideal."""
+    n = draw(st.integers(1, 12))
+    used = draw(st.integers(0, (1 << n) - 1))
+    masks = st.one_of(
+        st.integers(0, (1 << n) - 1).map(lambda m: m & used),
+        st.integers(0, n - 1).map(lambda i: 1 << i),
+    )
+    gens = draw(st.lists(masks, max_size=6)), draw(st.lists(masks, max_size=3))
+    return tuple(
+        MonomialIdeal([[m >> i & 1 for i in range(n)] for m in g], n) for g in gens
+    )
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5, 1 << 17])
+@given(case=listing_cases())
+@settings(max_examples=150, deadline=None)
+@example(case=(MonomialIdeal.unit(12), MonomialIdeal.unit(12)))
+@example(case=(MonomialIdeal.zero(12), MonomialIdeal.zero(12)))
+def test_strata_lists_match_the_scan(bound, case):
+    # both lists equal the definitional scan, or raise when it holds more
+    # than MAX_STRATA strata
+    ideal, annihilator = case
+    expected = _brute.meeting_strata(ideal)
+    outside = _brute.generator_masks(annihilator)
+    inside = tuple(z for z in expected if any(a & z == 0 for a in outside))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locus, "MAX_STRATA", bound)
+        if len(expected) > bound:
+            with pytest.raises(ResourceLimit, match=f"more than {bound} strata"):
+                enumerate_strata(ideal)
+            with pytest.raises(ResourceLimit, match=f"more than {bound} strata"):
+                u_prime_strata(ideal, annihilator)
+        else:
+            assert enumerate_strata(ideal) == expected
+            assert u_prime_strata(ideal, annihilator) == inside
 
 
 def _is_upward_closed(strata, n):

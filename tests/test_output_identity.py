@@ -141,7 +141,7 @@ EXPECTED = {
     "locus-check": "a373ce9c5500057955e67ed9a6a4f0ef30f1448d733b82f71487bbbc5fb63fe1",
     "enumerate": "ad525bcb13c85b0981f2ee750272f48b6f795da53d42c1cb22c67a6b8ed049a7",
     "enumerate-5": "64c51e64b4efadff00940682b71344b8abe241ae9d2e3b4ec3af927ddbb6aebf",
-    "errors": "43b26158a457161504eb44e990e70e75316ea55000ebbf7fa557ff6fe4d869f9",
+    "errors": "4a80a7d217cae4f678661d702c46a089acd705a875cd8d5c1ec5b98cef67fc5e",
     "oracle": "f38a51f193c19e050f6023d10e1e87a770ba0501c43068a7d666f1fd916c1223",
 }
 
